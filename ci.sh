@@ -59,7 +59,7 @@ cargo run --release -q -p tempest-bench --bin perf_smoke -- BENCH_parse.json >/d
 echo "==> BENCH_parse.json schema check"
 cargo run --release -q -p tempest-bench --bin json_check -- bench BENCH_parse.json
 
-echo "==> correlate throughput floor vs committed baseline"
+echo "==> correlate + timeline throughput floor vs committed baseline"
 cargo run --release -q -p tempest-bench --bin json_check -- \
     floor BENCH_parse.json BENCH_baseline.json
 

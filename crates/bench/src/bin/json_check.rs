@@ -28,8 +28,10 @@
 //!   profile, hotspots, fleet) is detected from its key set; every kind
 //!   must carry schema version `v: 1` and its pinned required fields.
 //! * `json_check floor <file> <baseline>` — throughput regression gate:
-//!   fails when the fresh run's `correlate.samples_per_sec` has dropped
-//!   more than 30% below the committed baseline's.
+//!   fails when the fresh run's correlate throughput
+//!   (`correlate.samples_per_sec`) or timeline throughput
+//!   (`workload.events_total / stages.timeline_seconds`) has dropped more
+//!   than 30% below the committed baseline's.
 //!
 //! Exits nonzero with a message on the first violation, so ci.sh can
 //! gate on it directly.
@@ -425,33 +427,46 @@ fn check_api(doc: &Json) -> Result<(), String> {
     Ok(())
 }
 
-/// Allowed drop in correlate throughput before the gate fails: a fresh
-/// run may be 30% slower than the committed baseline (noisy CI hosts),
-/// but not more.
+/// Allowed drop in a gated throughput before the gate fails: a fresh run
+/// may be 30% slower than the committed baseline (noisy CI hosts), but
+/// not more.
 const FLOOR_TOLERANCE: f64 = 0.30;
 
-fn samples_per_sec(doc: &Json, which: &str) -> Result<f64, String> {
-    doc.get("correlate")
-        .and_then(|c| c.get("samples_per_sec"))
+fn positive(doc: &Json, section: &str, key: &str, which: &str) -> Result<f64, String> {
+    doc.get(section)
+        .and_then(|c| c.get(key))
         .and_then(|v| v.as_f64())
         .filter(|v| *v > 0.0)
-        .ok_or_else(|| format!("{which}: correlate.samples_per_sec missing or non-positive"))
+        .ok_or_else(|| format!("{which}: {section}.{key} missing or non-positive"))
+}
+
+/// The gated throughputs: (name, unit, value).
+fn throughputs(doc: &Json, which: &str) -> Result<[(&'static str, &'static str, f64); 2], String> {
+    let samples = positive(doc, "correlate", "samples_per_sec", which)?;
+    let events = positive(doc, "workload", "events_total", which)?;
+    let timeline = positive(doc, "stages", "timeline_seconds", which)?;
+    Ok([
+        ("correlate", "samples/s", samples),
+        ("timeline", "events/s", events / timeline),
+    ])
 }
 
 fn check_floor(fresh: &Json, baseline: &Json) -> Result<(), String> {
-    let now = samples_per_sec(fresh, "fresh run")?;
-    let base = samples_per_sec(baseline, "baseline")?;
-    let floor = base * (1.0 - FLOOR_TOLERANCE);
-    if now < floor {
-        return Err(format!(
-            "correlate throughput regressed: {now:.0} samples/s is below the floor \
-             {floor:.0} ({}% under baseline {base:.0})",
-            ((1.0 - now / base) * 100.0).round()
-        ));
+    let now = throughputs(fresh, "fresh run")?;
+    let base = throughputs(baseline, "baseline")?;
+    for ((name, unit, now), (_, _, base)) in now.into_iter().zip(base) {
+        let floor = base * (1.0 - FLOOR_TOLERANCE);
+        if now < floor {
+            return Err(format!(
+                "{name} throughput regressed: {now:.0} {unit} is below the floor \
+                 {floor:.0} ({}% under baseline {base:.0})",
+                ((1.0 - now / base) * 100.0).round()
+            ));
+        }
+        eprintln!(
+            "json_check: floor OK — {name} {now:.0} {unit} vs baseline {base:.0} (floor {floor:.0})"
+        );
     }
-    eprintln!(
-        "json_check: floor OK — correlate {now:.0} samples/s vs baseline {base:.0} (floor {floor:.0})"
-    );
     Ok(())
 }
 

@@ -14,7 +14,8 @@
 //!
 //! * **keep-alive** — HTTP/1.1 connections are reused (HTTP/1.0 only on
 //!   an explicit `Connection: keep-alive`), capped at
-//!   [`HttpConfig::max_requests_per_conn`] requests per connection;
+//!   [`HttpConfig::max_requests_per_conn`] requests per connection (the
+//!   response that uses up the budget says `Connection: close`);
 //! * **a bounded worker pool** — accepted connections are handed to a
 //!   fixed set of worker threads over a bounded queue; when the queue is
 //!   full the listener answers `503` inline rather than queueing without
@@ -357,12 +358,14 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared, stop: &AtomicBool) -
     stream.set_read_timeout(Some(shared.config.io_timeout))?;
     stream.set_write_timeout(Some(shared.config.io_timeout))?;
     let mut carry: Vec<u8> = Vec::new();
-    for _ in 0..shared.config.max_requests_per_conn {
+    let budget = shared.config.max_requests_per_conn;
+    for served in 1..=budget {
         if stop.load(Ordering::Relaxed) {
             break;
         }
         let (request, keep_alive) = match read_request(&mut stream, &mut carry) {
-            Ok(Some(parsed)) => parsed,
+            // The response that uses up the budget announces the close.
+            Ok(Some((request, keep_alive))) => (request, keep_alive && served < budget),
             Ok(None) => break, // clean EOF between requests
             Err(HttpError::TooLarge) => {
                 write_response(
@@ -734,6 +737,34 @@ mod tests {
                 .iter()
                 .any(|(k, v)| k == "connection" && v == "keep-alive"));
         }
+        stop.store(true, Ordering::Relaxed);
+        server.join();
+    }
+
+    #[test]
+    fn last_response_of_the_request_budget_says_close() {
+        let handler: Handler = Arc::new(|_req: &Request| Response::json("{}\n"));
+        let stop = Arc::new(AtomicBool::new(false));
+        let config = HttpConfig {
+            max_requests_per_conn: 2,
+            ..HttpConfig::default()
+        };
+        let server = serve("127.0.0.1:0", config, handler, stop.clone(), None).expect("bind");
+        let mut client = HttpClient::connect(&server.addr().to_string()).expect("connect");
+        let connection = |headers: &[(String, String)]| {
+            headers
+                .iter()
+                .find(|(k, _)| k == "connection")
+                .map(|(_, v)| v.clone())
+        };
+        let (_, first, _) = client.get("/a", &[]).expect("first request");
+        assert_eq!(connection(&first).as_deref(), Some("keep-alive"));
+        let (_, second, _) = client.get("/b", &[]).expect("second request");
+        assert_eq!(connection(&second).as_deref(), Some("close"));
+        assert!(
+            client.get("/c", &[]).is_err(),
+            "the server closed the connection after its budget"
+        );
         stop.store(true, Ordering::Relaxed);
         server.join();
     }

@@ -23,6 +23,64 @@ use std::collections::HashMap;
 use tempest_probe::func::FunctionId;
 use tempest_sensors::{SensorId, SensorReading};
 
+/// Ids below this are looked up in [`SlotIndex`]'s direct table (at most
+/// 256 KiB). Function, thread and sensor ids are assigned densely from 0,
+/// so only a damaged or hostile trace reaches the hash-map spill.
+const DIRECT_IDS: u32 = 1 << 16;
+
+/// Dense slots for integer ids, assigned in first-seen order: an O(1)
+/// id → slot lookup without hashing on the hot paths that resolve one
+/// id per event or sample (symbolisation, timeline, column builds).
+#[derive(Default)]
+pub(crate) struct SlotIndex {
+    /// `direct[id]` = slot, or `u32::MAX` when `id` has none; grown on
+    /// demand up to [`DIRECT_IDS`] entries.
+    direct: Vec<u32>,
+    /// Slots of ids at or above [`DIRECT_IDS`].
+    spill: HashMap<u32, u32>,
+    len: u32,
+}
+
+impl SlotIndex {
+    /// The slot of `id`, if it has one.
+    #[inline]
+    pub(crate) fn get(&self, id: u32) -> Option<u32> {
+        if id < DIRECT_IDS {
+            self.direct
+                .get(id as usize)
+                .copied()
+                .filter(|&s| s != u32::MAX)
+        } else {
+            self.spill.get(&id).copied()
+        }
+    }
+
+    /// The slot of `id`, assigning the next one if it has none. A new
+    /// slot equals the previous [`len`](Self::len).
+    #[inline]
+    pub(crate) fn slot(&mut self, id: u32) -> u32 {
+        if let Some(s) = self.get(id) {
+            return s;
+        }
+        let s = self.len;
+        self.len += 1;
+        if id < DIRECT_IDS {
+            if self.direct.len() <= id as usize {
+                self.direct.resize(id as usize + 1, u32::MAX);
+            }
+            self.direct[id as usize] = s;
+        } else {
+            self.spill.insert(id, s);
+        }
+        s
+    }
+
+    /// Number of slots assigned.
+    pub(crate) fn len(&self) -> usize {
+        self.len as usize
+    }
+}
+
 /// Column-major sensor samples with dictionary-encoded values.
 ///
 /// All per-sample vectors are parallel: index `i` describes the `i`-th
@@ -64,11 +122,10 @@ impl SampleColumns {
             ..Default::default()
         };
         let mut keys: Vec<u64> = Vec::with_capacity(n);
-        let mut sensor_map: HashMap<SensorId, u32> = HashMap::new();
+        let mut sensor_slots = SlotIndex::default();
         for s in samples {
-            let next = cols.sensor_ids.len() as u32;
-            let slot = *sensor_map.entry(s.sensor).or_insert(next);
-            if slot == next {
+            let slot = sensor_slots.slot(u32::from(s.sensor.0));
+            if slot as usize == cols.sensor_ids.len() {
                 cols.sensor_ids.push(s.sensor);
             }
             cols.timestamp_ns.push(s.timestamp_ns);
@@ -173,23 +230,21 @@ impl IntervalColumns {
             depth: Vec::with_capacity(n),
             ..Default::default()
         };
-        let mut func_map: HashMap<FunctionId, u32> = HashMap::new();
-        let mut thread_map: HashMap<tempest_probe::event::ThreadId, u32> = HashMap::new();
+        let mut func_slots = SlotIndex::default();
+        let mut thread_slots = SlotIndex::default();
         for iv in intervals {
-            let next_func = cols.func_ids.len() as u32;
-            let fslot = *func_map.entry(iv.func).or_insert(next_func);
-            if fslot == next_func {
+            let fslot = func_slots.slot(iv.func.0);
+            if fslot as usize == cols.func_ids.len() {
                 cols.func_ids.push(iv.func);
             }
-            let next_thread = thread_map.len() as u32;
-            let tslot = *thread_map.entry(iv.thread).or_insert(next_thread);
+            let tslot = thread_slots.slot(iv.thread.0);
             cols.start_ns.push(iv.start_ns);
             cols.end_ns.push(iv.end_ns);
             cols.func_slot.push(fslot);
             cols.thread_slot.push(tslot);
             cols.depth.push(iv.depth);
         }
-        cols.n_threads = thread_map.len();
+        cols.n_threads = thread_slots.len();
         cols
     }
 
@@ -266,6 +321,19 @@ mod tests {
             assert_eq!(cols.depth[i], iv.depth);
             assert_eq!(cols.func_ids[cols.func_slot[i] as usize], iv.func);
         }
+    }
+
+    #[test]
+    fn slot_index_assigns_first_seen_slots_to_direct_and_spilled_ids() {
+        let mut idx = SlotIndex::default();
+        assert_eq!(idx.slot(7), 0);
+        assert_eq!(idx.slot(u32::MAX), 1, "large ids spill");
+        assert_eq!(idx.slot(0), 2);
+        assert_eq!(idx.slot(7), 0, "repeat id keeps its slot");
+        assert_eq!(idx.get(u32::MAX), Some(1));
+        assert_eq!(idx.get(3), None);
+        assert_eq!(idx.get(DIRECT_IDS), None);
+        assert_eq!(idx.len(), 3);
     }
 
     #[test]

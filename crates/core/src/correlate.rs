@@ -270,37 +270,65 @@ impl Grid {
         }
     }
 
-    #[inline]
-    fn hit_inclusive(&mut self, total_values: usize, cell: Cell) {
+    /// Attribute every sample in `samples` (one instant's run) to the
+    /// function slots in `inclusive_slots` and `exclusive_slots`.
+    fn hit(
+        &mut self,
+        cols: &SampleColumns,
+        samples: std::ops::Range<usize>,
+        inclusive_slots: &[u32],
+        exclusive_slots: &[u32],
+    ) {
+        let total_values = cols.total_values();
         match self {
-            Grid::Dense { inclusive, .. } => inclusive[cell.fslot * total_values + cell.vslot] += 1,
-            Grid::Sparse { inclusive, .. } => inclusive[cell.sslot][cell.fslot].push(cell.value),
-        }
-    }
-
-    #[inline]
-    fn hit_exclusive(&mut self, total_values: usize, cell: Cell) {
-        match self {
-            Grid::Dense { exclusive, .. } => exclusive[cell.fslot * total_values + cell.vslot] += 1,
-            Grid::Sparse { exclusive, .. } => exclusive[cell.sslot][cell.fslot].push(cell.value),
+            Grid::Dense {
+                inclusive,
+                exclusive,
+            } => {
+                for &vslot in &cols.value_slot[samples] {
+                    let vslot = vslot as usize;
+                    for &f in inclusive_slots {
+                        inclusive[f as usize * total_values + vslot] += 1;
+                    }
+                    for &f in exclusive_slots {
+                        exclusive[f as usize * total_values + vslot] += 1;
+                    }
+                }
+            }
+            Grid::Sparse {
+                inclusive,
+                exclusive,
+            } => {
+                for i in samples {
+                    let sslot = cols.sensor_slot[i] as usize;
+                    let value = f64_unkey(cols.flat_values[cols.value_slot[i] as usize]);
+                    for &f in inclusive_slots {
+                        inclusive[sslot][f as usize].push(value);
+                    }
+                    for &f in exclusive_slots {
+                        exclusive[sslot][f as usize].push(value);
+                    }
+                }
+            }
         }
     }
 }
 
-/// One attribution target: which function, and the sample's encoded value
-/// (dense path uses the slot, sparse path the decoded Fahrenheit value).
-#[derive(Clone, Copy)]
-struct Cell {
-    fslot: usize,
-    sslot: usize,
-    vslot: usize,
-    value: f64,
-}
+/// Samples between two cancellation checks.
+const CANCEL_CHECK_SAMPLES: usize = 4_096;
 
 /// Sweep one contiguous sample range. Intervals that straddle the shard's
 /// left boundary are re-admitted by scanning the interval columns from the
 /// start and skipping everything that already ended — linear in intervals,
 /// but over contiguous flat arrays, and done once per shard.
+///
+/// Samples at one instant share one stack snapshot (a sampling round
+/// reads every sensor at the same timestamp), so the sweep works per
+/// instant: admit and retire once, resolve the distinct active functions
+/// and each thread's innermost frame once, then apply both slot lists to
+/// every sample of the instant. An instant's run stops at the shard's
+/// `hi` and at the next cancellation check, so checks fall on the same
+/// samples as a per-sample sweep.
 fn sweep_range(
     ivs: &IntervalColumns,
     cols: &SampleColumns,
@@ -310,30 +338,39 @@ fn sweep_range(
 ) -> ShardAccum {
     let n_funcs = ivs.func_ids.len();
     let n_threads = ivs.n_threads;
-    let total_values = cols.total_values();
-    let mut grid = Grid::new(dense, n_funcs, cols.sensor_ids.len(), total_values);
+    let mut grid = Grid::new(dense, n_funcs, cols.sensor_ids.len(), cols.total_values());
     let mut unattributed = 0usize;
     let mut cancelled = false;
 
-    // Sweep state. Epoch stamps replace per-sample clearing: a slot is
-    // "marked for this sample" iff its stamp equals the current epoch.
+    // Sweep state. Epoch stamps replace per-instant clearing: a slot is
+    // "marked for this instant" iff its stamp equals the current epoch.
     let mut active: Vec<u32> = Vec::new(); // interval indices, unordered
     let mut next = 0usize;
+    let mut epoch = 0u64; // 0 = "never seen"
     let mut func_epoch: Vec<u64> = vec![0; n_funcs];
     let mut thread_epoch: Vec<u64> = vec![0; n_threads];
     let mut thread_best_depth: Vec<u32> = vec![0; n_threads];
-    let mut thread_best_cell: Vec<usize> = vec![0; n_threads];
+    let mut thread_best_func: Vec<u32> = vec![0; n_threads];
     let mut touched_threads: Vec<u32> = Vec::with_capacity(n_threads);
+    let mut inclusive_slots: Vec<u32> = Vec::with_capacity(n_funcs);
+    let mut exclusive_slots: Vec<u32> = Vec::with_capacity(n_threads);
 
-    for i in lo..hi {
+    let mut i = lo;
+    while i < hi {
         // Cooperative cancellation: one branch on the free default token;
         // an armed token reads the clock only every 4096 samples.
-        if (i - lo) & 0xFFF == 0 && cancel.is_cancelled() {
+        if (i - lo) % CANCEL_CHECK_SAMPLES == 0 && cancel.is_cancelled() {
             cancelled = true;
             break;
         }
         let t = cols.timestamp_ns[i];
-        let epoch = (i - lo) as u64 + 1; // 0 = "never seen"
+        let run_end = hi.min(i + CANCEL_CHECK_SAMPLES - (i - lo) % CANCEL_CHECK_SAMPLES);
+        let mut j = i + 1;
+        while j < run_end && cols.timestamp_ns[j] == t {
+            j += 1;
+        }
+        let instant = i..j;
+        i = j;
 
         // Admit intervals that have started and not already ended —
         // skipping dead ones keeps a mid-trace shard's first admission
@@ -346,73 +383,58 @@ fn sweep_range(
         }
         // Retire intervals that have ended (swap-remove keeps this O(1)
         // per retirement; the active set is unordered by construction).
-        let mut j = 0;
-        while j < active.len() {
-            if ivs.end_ns[active[j] as usize] <= t {
-                active.swap_remove(j);
+        let mut k = 0;
+        while k < active.len() {
+            if ivs.end_ns[active[k] as usize] <= t {
+                active.swap_remove(k);
             } else {
-                j += 1;
+                k += 1;
             }
         }
         // Post-retirement, every active interval covers t: admission
         // guarantees start ≤ t and retirement guarantees end > t, which is
         // exactly `Interval::contains` ([start, end)).
         if active.is_empty() {
-            unattributed += 1;
+            unattributed += instant.len();
             continue;
         }
 
-        let sslot = cols.sensor_slot[i] as usize;
-        let vslot = cols.value_slot[i] as usize;
-        let value = f64_unkey(cols.flat_values[vslot]);
-
+        epoch += 1;
+        inclusive_slots.clear();
         touched_threads.clear();
         for &idx in &active {
             let idx = idx as usize;
-            let fslot = ivs.func_slot[idx] as usize;
+            let fslot = ivs.func_slot[idx];
             let tslot = ivs.thread_slot[idx] as usize;
             let depth = ivs.depth[idx];
 
-            // Inclusive: each distinct function once per sample, even when
+            // Inclusive: each distinct function once per instant, even when
             // on the stack multiple times (recursion) or on several threads.
-            if func_epoch[fslot] != epoch {
-                func_epoch[fslot] = epoch;
-                grid.hit_inclusive(
-                    total_values,
-                    Cell {
-                        fslot,
-                        sslot,
-                        vslot,
-                        value,
-                    },
-                );
+            if func_epoch[fslot as usize] != epoch {
+                func_epoch[fslot as usize] = epoch;
+                inclusive_slots.push(fslot);
             }
 
             // Track the innermost (deepest) frame per thread.
             if thread_epoch[tslot] != epoch {
                 thread_epoch[tslot] = epoch;
                 thread_best_depth[tslot] = depth;
-                thread_best_cell[tslot] = fslot;
+                thread_best_func[tslot] = fslot;
                 touched_threads.push(tslot as u32);
             } else if depth > thread_best_depth[tslot] {
                 thread_best_depth[tslot] = depth;
-                thread_best_cell[tslot] = fslot;
+                thread_best_func[tslot] = fslot;
             }
         }
-
         // Exclusive: the innermost frame of each thread active at t.
-        for &tslot in &touched_threads {
-            let fslot = thread_best_cell[tslot as usize];
-            grid.hit_exclusive(
-                total_values,
-                Cell {
-                    fslot,
-                    sslot,
-                    vslot,
-                    value,
-                },
-            );
-        }
+        exclusive_slots.clear();
+        exclusive_slots.extend(
+            touched_threads
+                .iter()
+                .map(|&tslot| thread_best_func[tslot as usize]),
+        );
+
+        grid.hit(cols, instant, &inclusive_slots, &exclusive_slots);
     }
 
     ShardAccum {

@@ -18,6 +18,7 @@
 //!   [`analyze_trace_salvaged`] to also fold in the losses a
 //!   [`SalvageReport`] observed while reading a truncated trace file.
 
+use crate::columns::SlotIndex;
 use crate::correlate::correlate_with_cancel;
 use crate::profile::{build_profiles, DataQuality, NodeProfile};
 use crate::timeline::Timeline;
@@ -94,6 +95,7 @@ impl ParseError {
     /// Pre-flight a trace: return the first problem a strict parse would
     /// hit, or `None` for a clean trace. Used by `tempest doctor`.
     pub fn classify(trace: &Trace) -> Option<ParseError> {
+        let symbols = symbol_index(trace);
         let mut scope_events = 0usize;
         let mut last_ts = 0u64;
         for (index, e) in trace.events.iter().enumerate() {
@@ -102,7 +104,7 @@ impl ParseError {
                 _ => continue,
             };
             scope_events += 1;
-            if trace.function(func).is_none() {
+            if symbols.get(func.0).is_none() {
                 return Some(ParseError::UnknownFunction(func.0));
             }
             if e.timestamp_ns < last_ts {
@@ -205,6 +207,7 @@ pub(crate) fn analyze_trace_salvaged_impl(
     // unresolvable address meant a corrupt trace. In recover mode the
     // offending events are dropped (greedy monotonic filter: keep a scope
     // event only if it does not precede the last kept one) and counted.
+    let symbols = symbol_index(trace);
     let mut kept: Vec<Event> = Vec::new();
     let mut last_ts = 0u64;
     for (index, e) in trace.events.iter().enumerate() {
@@ -226,7 +229,7 @@ pub(crate) fn analyze_trace_salvaged_impl(
             }
         };
         quality.events_seen += 1;
-        if trace.function(func).is_none() {
+        if symbols.get(func.0).is_none() {
             if tolerant {
                 quality.events_dropped_unknown_func += 1;
                 continue;
@@ -313,6 +316,16 @@ pub(crate) fn analyze_trace_salvaged_impl(
     quality.sensor_coverage = sensor_coverage(&trace.node, &samples);
     profile.quality = quality;
     Ok(profile)
+}
+
+/// The trace's symbol table as an O(1) function-id lookup, built once so
+/// the per-event checks do not scan `trace.functions`.
+fn symbol_index(trace: &Trace) -> SlotIndex {
+    let mut symbols = SlotIndex::default();
+    for f in &trace.functions {
+        symbols.slot(f.id.0);
+    }
+    symbols
 }
 
 /// Fraction of expected sensor samples actually present.

@@ -248,7 +248,7 @@ impl NodeProfile {
 /// consecutive samples of the first sensor present.
 pub fn estimate_sample_interval_ns(samples: &[SensorReading]) -> Option<u64> {
     let first_sensor = samples.first()?.sensor;
-    let ts: Vec<u64> = samples
+    let mut ts: Vec<u64> = samples
         .iter()
         .filter(|s| s.sensor == first_sensor)
         .map(|s| s.timestamp_ns)
@@ -256,6 +256,9 @@ pub fn estimate_sample_interval_ns(samples: &[SensorReading]) -> Option<u64> {
     if ts.len() < 2 {
         return None;
     }
+    // Gaps are measured in time order, so an out-of-order stream (which
+    // the correlate sweep re-sorts) cannot underflow a gap.
+    ts.sort_unstable();
     let mut gaps: Vec<u64> = ts.windows(2).map(|w| w[1] - w[0]).collect();
     gaps.sort_unstable();
     Some(gaps[gaps.len() / 2])
@@ -463,5 +466,32 @@ mod tests {
             .map(|&t| SensorReading::new(S0, t, Temperature::from_celsius(40.0)))
             .collect();
         assert_eq!(estimate_sample_interval_ns(&samples), Some(100));
+    }
+
+    #[test]
+    fn interval_estimation_measures_out_of_order_samples_in_time_order() {
+        let ts = [0u64, 200, 100, 300];
+        let samples: Vec<SensorReading> = ts
+            .iter()
+            .map(|&t| SensorReading::new(S0, t, Temperature::from_celsius(40.0)))
+            .collect();
+        assert_eq!(estimate_sample_interval_ns(&samples), Some(100));
+    }
+
+    #[test]
+    fn stray_exit_only_function_has_no_times_entry_and_no_row() {
+        let events = [
+            Event::enter(0, T0, FunctionId(0)),
+            Event::exit(10, T0, FunctionId(2)), // foo2: never entered
+            Event::exit(100, T0, FunctionId(0)),
+        ];
+        let tl = Timeline::build(&events);
+        assert!(!tl.times.contains_key(&FunctionId(2)));
+        assert_eq!(tl.times.len(), 1, "only main has times");
+        let samples = vec![SensorReading::new(S0, 50, Temperature::from_celsius(40.0))];
+        let corr = correlate(&tl, &samples);
+        let p = build_profiles(NodeMeta::anonymous(), &defs(), &tl, &corr, &samples);
+        assert!(p.by_name("foo2").is_none());
+        assert!(p.by_name("main").is_some());
     }
 }

@@ -9,6 +9,7 @@
 //! depth), robust to interleaving, recursion, and truncated or slightly
 //! malformed traces.
 
+use crate::columns::SlotIndex;
 use std::collections::HashMap;
 use tempest_probe::event::{Event, EventKind, ThreadId};
 use tempest_probe::func::FunctionId;
@@ -109,7 +110,9 @@ impl Timeline {
     /// Events must be sorted by timestamp (ties keep stream order, which is
     /// how [`tempest_probe::trace::Trace::from_mixed_events`] sorts them);
     /// each thread's subsequence is then interpreted as a call-stack
-    /// history.
+    /// history. Repairs at the end of the trace (`UnclosedFrames` and the
+    /// truncated intervals) follow the order in which threads first
+    /// appear, so the output is the same on every run.
     pub fn build(events: &[Event]) -> Timeline {
         let mut tl = Timeline::default();
         if events.is_empty() {
@@ -119,14 +122,18 @@ impl Timeline {
             events.first().unwrap().timestamp_ns,
             events.last().unwrap().timestamp_ns,
         );
+        // Every enter becomes exactly one interval (closed or truncated).
+        let enters = events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::Enter { .. }))
+            .count();
+        tl.intervals.reserve_exact(enters);
 
-        // Per-thread open-frame stacks: (func, start_ns, depth).
-        let mut stacks: HashMap<ThreadId, Vec<(FunctionId, u64, u32)>> = HashMap::new();
-        // Per-thread per-function activation counts and inclusive-start
-        // marks, for recursion-safe inclusive time.
-        let mut active: HashMap<(ThreadId, FunctionId), (u32, u64)> = HashMap::new();
-        // Per-thread previous event timestamp, for exclusive attribution.
-        let mut prev_ts: HashMap<ThreadId, u64> = HashMap::new();
+        // Dense thread and function slots index the per-thread state and
+        // the per-function times.
+        let mut thread_slots = SlotIndex::default();
+        let mut threads: Vec<ThreadState> = Vec::new();
+        let mut funcs = Funcs::default();
 
         for e in events {
             let (func, is_enter) = match e.kind {
@@ -135,87 +142,81 @@ impl Timeline {
                 EventKind::Sample { .. } | EventKind::Gap { .. } => continue,
             };
             let t = e.timestamp_ns;
-            let stack = stacks.entry(e.thread).or_default();
+            let tslot = thread_slots.slot(e.thread.0) as usize;
+            if tslot == threads.len() {
+                threads.push(ThreadState {
+                    id: e.thread,
+                    stack: Vec::new(),
+                    prev_ts: None,
+                });
+            }
+            let th = &mut threads[tslot];
 
             // Attribute the elapsed slice to the current top (exclusive).
-            if let Some(&p) = prev_ts.get(&e.thread) {
-                if let Some(&(top, _, _)) = stack.last() {
-                    tl.times.entry(top).or_default().exclusive_ns += t.saturating_sub(p);
-                }
+            if let (Some(p), Some(top)) = (th.prev_ts, th.stack.last()) {
+                funcs.times[top.fslot as usize].exclusive_ns += t.saturating_sub(p);
             }
-            prev_ts.insert(e.thread, t);
+            th.prev_ts = Some(t);
 
             if is_enter {
-                let depth = stack.len() as u32;
-                stack.push((func, t, depth));
-                let ft = tl.times.entry(func).or_default();
-                ft.calls += 1;
-                let a = active.entry((e.thread, func)).or_insert((0, 0));
-                if a.0 == 0 {
-                    a.1 = t; // first activation: start inclusive clock
-                }
-                a.0 += 1;
-            } else {
-                // Find the frame; tolerate mismatches.
-                match stack.iter().rposition(|&(f, _, _)| f == func) {
-                    None => {
-                        tl.warnings.push(TimelineWarning::ExitWithoutEnter {
-                            thread: e.thread,
-                            func,
-                            at_ns: t,
-                        });
-                    }
-                    Some(pos) => {
-                        if pos != stack.len() - 1 {
-                            let (expected, _, _) = *stack.last().unwrap();
-                            tl.warnings.push(TimelineWarning::MismatchedExit {
-                                thread: e.thread,
-                                expected,
-                                got: func,
-                                at_ns: t,
-                            });
-                        }
-                        // Close the target and anything above it.
-                        while stack.len() > pos {
-                            let (f, start, depth) = stack.pop().unwrap();
-                            tl.intervals.push(Interval {
-                                func: f,
-                                thread: e.thread,
-                                start_ns: start,
-                                end_ns: t,
-                                depth,
-                                truncated: false,
-                            });
-                            close_activation(&mut tl, &mut active, e.thread, f, t);
-                        }
-                    }
-                }
+                let fslot = funcs.enter(func);
+                // Recursion-safe inclusive time: only the outermost frame
+                // of a function on this thread's stack counts. Recursion
+                // finds its frame near the top.
+                let outermost = !th.stack.iter().rev().any(|f| f.fslot == fslot);
+                th.stack.push(Frame {
+                    fslot,
+                    depth: th.stack.len() as u32,
+                    start_ns: t,
+                    outermost,
+                });
+                continue;
             }
+            // Find the frame; tolerate mismatches.
+            let pos = funcs
+                .slots
+                .get(func.0)
+                .and_then(|fslot| th.stack.iter().rposition(|f| f.fslot == fslot));
+            let Some(pos) = pos else {
+                tl.warnings.push(TimelineWarning::ExitWithoutEnter {
+                    thread: e.thread,
+                    func,
+                    at_ns: t,
+                });
+                continue;
+            };
+            if pos != th.stack.len() - 1 {
+                let top = th.stack.last().unwrap().fslot;
+                tl.warnings.push(TimelineWarning::MismatchedExit {
+                    thread: e.thread,
+                    expected: funcs.ids[top as usize],
+                    got: func,
+                    at_ns: t,
+                });
+            }
+            // Close the target and anything above it.
+            let closed = th.stack.drain(pos..).rev();
+            tl.intervals
+                .extend(closed.map(|frame| funcs.close(frame, e.thread, t, false)));
         }
 
-        // Close anything still open at the end of the trace.
+        // Close anything still open at the end of the trace, threads in
+        // first-seen order.
         let end = tl.span.1;
-        for (thread, stack) in stacks.iter_mut() {
-            if stack.is_empty() {
+        for th in &mut threads {
+            if th.stack.is_empty() {
                 continue;
             }
             tl.warnings.push(TimelineWarning::UnclosedFrames {
-                thread: *thread,
-                count: stack.len(),
+                thread: th.id,
+                count: th.stack.len(),
             });
-            while let Some((f, start, depth)) = stack.pop() {
-                tl.intervals.push(Interval {
-                    func: f,
-                    thread: *thread,
-                    start_ns: start,
-                    end_ns: end,
-                    depth,
-                    truncated: true,
-                });
-                close_activation(&mut tl, &mut active, *thread, f, end);
-            }
+            let closed = th.stack.drain(..).rev();
+            tl.intervals
+                .extend(closed.map(|frame| funcs.close(frame, th.id, end, true)));
         }
 
+        tl.times = funcs.ids.into_iter().zip(funcs.times).collect();
         tl.intervals.sort_by_key(|i| (i.start_ns, i.depth));
         tl
     }
@@ -246,17 +247,60 @@ impl Timeline {
     }
 }
 
-fn close_activation(
-    tl: &mut Timeline,
-    active: &mut HashMap<(ThreadId, FunctionId), (u32, u64)>,
-    thread: ThreadId,
-    func: FunctionId,
-    t: u64,
-) {
-    if let Some(a) = active.get_mut(&(thread, func)) {
-        a.0 = a.0.saturating_sub(1);
-        if a.0 == 0 {
-            tl.times.entry(func).or_default().inclusive_ns += t.saturating_sub(a.1);
+/// One open frame on a thread's stack.
+#[derive(Clone, Copy)]
+struct Frame {
+    fslot: u32,
+    depth: u32,
+    start_ns: u64,
+    /// No other frame of the same function was open on this thread when
+    /// this one was entered: its span is the function's inclusive time.
+    outermost: bool,
+}
+
+/// Per-thread reconstruction state, indexed by thread slot.
+struct ThreadState {
+    id: ThreadId,
+    stack: Vec<Frame>,
+    /// Timestamp of the thread's previous scope event, for exclusive time.
+    prev_ts: Option<u64>,
+}
+
+/// Per-function state, indexed by function slot. A function gets a slot
+/// on its first enter, so one seen only in a stray exit never gets a
+/// `times` key.
+#[derive(Default)]
+struct Funcs {
+    slots: SlotIndex,
+    ids: Vec<FunctionId>,
+    times: Vec<FunctionTimes>,
+}
+
+impl Funcs {
+    /// Count a call of `func` and return its slot.
+    fn enter(&mut self, func: FunctionId) -> u32 {
+        let fslot = self.slots.slot(func.0);
+        if fslot as usize == self.ids.len() {
+            self.ids.push(func);
+            self.times.push(FunctionTimes::default());
+        }
+        self.times[fslot as usize].calls += 1;
+        fslot
+    }
+
+    /// Close `frame` at `end_ns` into an interval, crediting its
+    /// inclusive time.
+    fn close(&mut self, frame: Frame, thread: ThreadId, end_ns: u64, truncated: bool) -> Interval {
+        if frame.outermost {
+            self.times[frame.fslot as usize].inclusive_ns += end_ns.saturating_sub(frame.start_ns);
+        }
+        Interval {
+            func: self.ids[frame.fslot as usize],
+            thread,
+            start_ns: frame.start_ns,
+            end_ns,
+            depth: frame.depth,
+            truncated,
         }
     }
 }
@@ -403,6 +447,45 @@ mod tests {
         assert!(main_iv.truncated);
         assert_eq!(main_iv.end_ns, 50);
         assert_eq!(tl.times[&MAIN].inclusive_ns, 50);
+    }
+
+    #[test]
+    fn repairs_follow_first_seen_thread_order() {
+        // Eight threads, first seen in a scrambled order, each cut off
+        // with two frames open at the same instant and depth.
+        let order = [5u32, 2, 7, 0, 6, 1, 4, 3];
+        let mut events = Vec::new();
+        for &th in &order {
+            events.push(enter(0, ThreadId(th), MAIN));
+        }
+        for &th in &order {
+            events.push(enter(10, ThreadId(th), FunctionId(th + 1)));
+        }
+        let a = Timeline::build(&events);
+        let b = Timeline::build(&events);
+        assert_eq!(a.intervals, b.intervals);
+        assert_eq!(a.warnings, b.warnings);
+        let repaired: Vec<u32> = a
+            .warnings
+            .iter()
+            .map(|w| match w {
+                TimelineWarning::UnclosedFrames { thread, count } => {
+                    assert_eq!(*count, 2);
+                    thread.0
+                }
+                other => panic!("unexpected warning {other:?}"),
+            })
+            .collect();
+        assert_eq!(repaired, order);
+        // Ties on (start, depth) keep the repair order too.
+        let outer: Vec<u32> = a
+            .intervals
+            .iter()
+            .filter(|i| i.depth == 0)
+            .map(|i| i.thread.0)
+            .collect();
+        assert_eq!(outer, order);
+        assert!(a.intervals.iter().all(|i| i.truncated && i.end_ns == 10));
     }
 
     #[test]
