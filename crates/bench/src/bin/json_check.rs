@@ -11,7 +11,8 @@
 //!   pipeline speedup is a number, or null with a `reason`, the
 //!   `self_overhead` section is present with its timing fields, the
 //!   per-stage breakdown is complete, and the correlate/cache sections
-//!   carry their throughput numbers.
+//!   carry their throughput numbers (correlate also its column-build
+//!   time, `columns_seconds`).
 //! * `json_check limits <file>` — validates the obs snapshot written by
 //!   `fuzz_decode --metrics-out`: the `limit_hits_total` and
 //!   `cancellations_total` counters exist, are numeric, and fired at
@@ -170,7 +171,12 @@ fn check_bench(doc: &Json) -> Result<(), String> {
         }
     }
     let correlate = doc.get("correlate").ok_or("missing correlate section")?;
-    for field in ["seconds", "seconds_sharded_auto", "samples_per_sec"] {
+    for field in [
+        "seconds",
+        "seconds_sharded_auto",
+        "columns_seconds",
+        "samples_per_sec",
+    ] {
         if correlate.get(field).and_then(|v| v.as_f64()).is_none() {
             return Err(format!("correlate.{field} missing or non-numeric"));
         }

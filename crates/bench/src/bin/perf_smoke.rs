@@ -7,7 +7,8 @@
 //! * a per-stage breakdown of the single-node pipeline
 //!   (timeline / correlate / profile / render),
 //! * correlate-sweep allocation counts and throughput, sequential vs
-//!   auto-sharded (the columnar rewrite's target metrics),
+//!   auto-sharded (the columnar rewrite's target metrics), and the
+//!   column build (`SampleColumns` + `IntervalColumns`) on its own,
 //! * full multi-node analysis wall time at `--jobs 1` vs `--jobs 4`
 //!   and the resulting speedup,
 //! * analysis-cache cold (miss + store) vs warm (hit) report timing,
@@ -27,6 +28,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use tempest_collect::{Collector, CollectorConfig};
+use tempest_core::columns::{IntervalColumns, SampleColumns};
 use tempest_core::correlate::correlate_with;
 use tempest_core::profile::build_profiles;
 use tempest_core::timeline::Timeline;
@@ -182,6 +184,12 @@ fn main() {
     let correlate_secs = t0.elapsed().as_secs_f64();
     let correlate_samples_per_s = node.samples.len() as f64 / correlate_secs;
     let attributed = node.samples.len() - corr.unattributed;
+
+    // The column build inside every correlate call, apart from the sweep.
+    let columns_secs = time3(|| {
+        std::hint::black_box(SampleColumns::from_readings(&node.samples));
+        std::hint::black_box(IntervalColumns::from_timeline(&timeline));
+    });
 
     // Correlate, auto-sharded (0 = one shard per CPU, clamped).
     let correlate_sharded_secs = time3(|| {
@@ -405,14 +413,15 @@ fn main() {
 
     // Hand-formatted JSON: the dependency budget has no serde.
     let json = format!(
-        "{{\n  \"workload\": {{\n    \"nodes\": {NODES},\n    \"events_total\": {total_events},\n    \"samples_total\": {total_samples},\n    \"trace_bytes_total\": {total_bytes}\n  }},\n  \"decode\": {{\n    \"seconds\": {decode_secs:.6},\n    \"events_per_sec\": {decode_events_per_s:.0},\n    \"mb_per_sec\": {decode_mb_per_s:.1}\n  }},\n  \"stages\": {{\n    \"timeline_seconds\": {timeline_secs:.6},\n    \"correlate_seconds\": {correlate_secs:.6},\n    \"profile_seconds\": {profile_secs:.6},\n    \"render_seconds\": {render_secs:.6}\n  }},\n  \"correlate\": {{\n    \"seconds\": {correlate_secs:.6},\n    \"seconds_sharded_auto\": {correlate_sharded_secs:.6},\n    \"samples_per_sec\": {correlate_samples_per_s:.0},\n    \"samples_attributed\": {attributed},\n    \"alloc_calls\": {corr_allocs},\n    \"alloc_bytes\": {corr_alloc_bytes}\n  }},\n  \"pipeline\": {{\n    \"seconds_jobs1\": {secs_jobs1:.6},\n    \"seconds_jobs4\": {secs_jobs4:.6},\n    \"speedup_jobs4_vs_jobs1\": {speedup_field},\n    \"cpus\": {cpus}\n  }},\n  \"self_overhead\": {{\n    \"seconds_metrics_on\": {secs_metrics_on:.6},\n    \"seconds_metrics_off\": {secs_metrics_off:.6},\n    \"slowdown_pct\": {overhead_pct:.2},\n    \"seconds_shipping_metrics_on\": {secs_shipping_on:.6},\n    \"seconds_shipping_metrics_off\": {secs_shipping_off:.6},\n    \"shipping_slowdown_pct\": {shipping_pct:.2}\n  }},\n  \"cache\": {{\n    \"seconds_cold\": {cache_cold_secs:.6},\n    \"seconds_warm\": {cache_warm_secs:.6},\n    \"warm_speedup\": {cache_speedup:.1}\n  }},\n  \"serve\": {{\n    \"request_cold_secs\": {serve_cold_secs:.6},\n    \"request_warm_secs\": {serve_warm_secs:.6},\n    \"warm_speedup\": {serve_speedup:.1}\n  }},\n  \"peak_rss_kb\": {rss_kb}\n}}\n"
+        "{{\n  \"workload\": {{\n    \"nodes\": {NODES},\n    \"events_total\": {total_events},\n    \"samples_total\": {total_samples},\n    \"trace_bytes_total\": {total_bytes}\n  }},\n  \"decode\": {{\n    \"seconds\": {decode_secs:.6},\n    \"events_per_sec\": {decode_events_per_s:.0},\n    \"mb_per_sec\": {decode_mb_per_s:.1}\n  }},\n  \"stages\": {{\n    \"timeline_seconds\": {timeline_secs:.6},\n    \"correlate_seconds\": {correlate_secs:.6},\n    \"profile_seconds\": {profile_secs:.6},\n    \"render_seconds\": {render_secs:.6}\n  }},\n  \"correlate\": {{\n    \"seconds\": {correlate_secs:.6},\n    \"seconds_sharded_auto\": {correlate_sharded_secs:.6},\n    \"columns_seconds\": {columns_secs:.6},\n    \"samples_per_sec\": {correlate_samples_per_s:.0},\n    \"samples_attributed\": {attributed},\n    \"alloc_calls\": {corr_allocs},\n    \"alloc_bytes\": {corr_alloc_bytes}\n  }},\n  \"pipeline\": {{\n    \"seconds_jobs1\": {secs_jobs1:.6},\n    \"seconds_jobs4\": {secs_jobs4:.6},\n    \"speedup_jobs4_vs_jobs1\": {speedup_field},\n    \"cpus\": {cpus}\n  }},\n  \"self_overhead\": {{\n    \"seconds_metrics_on\": {secs_metrics_on:.6},\n    \"seconds_metrics_off\": {secs_metrics_off:.6},\n    \"slowdown_pct\": {overhead_pct:.2},\n    \"seconds_shipping_metrics_on\": {secs_shipping_on:.6},\n    \"seconds_shipping_metrics_off\": {secs_shipping_off:.6},\n    \"shipping_slowdown_pct\": {shipping_pct:.2}\n  }},\n  \"cache\": {{\n    \"seconds_cold\": {cache_cold_secs:.6},\n    \"seconds_warm\": {cache_warm_secs:.6},\n    \"warm_speedup\": {cache_speedup:.1}\n  }},\n  \"serve\": {{\n    \"request_cold_secs\": {serve_cold_secs:.6},\n    \"request_warm_secs\": {serve_warm_secs:.6},\n    \"warm_speedup\": {serve_speedup:.1}\n  }},\n  \"peak_rss_kb\": {rss_kb}\n}}\n"
     );
     std::fs::write(&out_path, &json).expect("write BENCH_parse.json");
     std::fs::remove_dir_all(&dir).ok();
 
     eprintln!(
         "decode {decode_events_per_s:.0} events/s ({decode_mb_per_s:.1} MB/s); \
-         correlate {correlate_secs:.3}s seq / {correlate_sharded_secs:.3}s sharded, {corr_allocs} allocs; \
+         correlate {correlate_secs:.3}s seq / {correlate_sharded_secs:.3}s sharded \
+         (columns {columns_secs:.3}s), {corr_allocs} allocs; \
          jobs1 {secs_jobs1:.3}s vs jobs4 {secs_jobs4:.3}s (speedup {speedup_note} on {cpus} cpu(s)); \
          cache cold {cache_cold_secs:.3}s vs warm {cache_warm_secs:.3}s ({cache_speedup:.0}x); \
          metrics overhead {overhead_pct:+.2}%; shipping telemetry overhead {shipping_pct:+.2}%"

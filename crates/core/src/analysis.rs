@@ -38,10 +38,11 @@ pub struct HotSpot {
 
 /// Rank the `k` hottest functions of a node profile.
 ///
-/// Score = (avg °F − cluster-coolest avg °F) × exclusive seconds. A hot but
-/// instantaneous function and a long but cool one both rank low; the paper's
-/// "hot spots in code" are functions that are both hot *and* where time is
-/// spent.
+/// Score = (peak avg °F − the peak avg °F of this node's coolest
+/// significant function) × exclusive seconds, where a function's peak avg
+/// is its hottest per-sensor average. A hot but instantaneous function and
+/// a long but cool one both rank low; the paper's "hot spots in code" are
+/// functions that are both hot *and* where time is spent.
 pub fn hotspots(profile: &NodeProfile, k: usize) -> Vec<HotSpot> {
     let significant: Vec<_> = profile.functions.iter().filter(|f| f.significant).collect();
     let coolest = significant

@@ -8,11 +8,13 @@
 //! spends its time in), and separately to the innermost frame (exclusive
 //! attribution, used by hot-spot ranking).
 //!
-//! The sweep is O((intervals + samples)·log) — a merge along the time axis
-//! with an active-interval set — and runs over the columnar batches of
-//! [`crate::columns`]: timestamps, slot ids, and dictionary-encoded values
-//! in contiguous flat vectors. Because values are dictionary-encoded, the
-//! inner loop is a plain `counts[func × value] += 1` into a dense grid —
+//! The sweep is a merge along the time axis with an incrementally kept
+//! active-interval set — each interval is admitted and retired once, and
+//! each instant re-resolves only the threads whose frames changed — and
+//! runs over the columnar batches of [`crate::columns`]: timestamps, slot
+//! ids, and dictionary-encoded values in contiguous flat vectors. Because
+//! values are dictionary-encoded, the inner loop is a plain
+//! `counts[value × n_funcs + func] += 1` into a dense grid —
 //! no hashing, no tree nodes, no allocation — and exact
 //! [`StreamingStats`] histograms are materialised once at the end.
 //!
@@ -195,10 +197,12 @@ impl ShardAccum {
                 Grid::Dense {
                     inclusive,
                     exclusive,
+                    ..
                 },
                 Grid::Dense {
                     inclusive: oi,
                     exclusive: oe,
+                    ..
                 },
             ) => {
                 for (a, b) in inclusive.iter_mut().zip(&oi) {
@@ -237,12 +241,15 @@ fn merge_sparse(into: &mut [Vec<StreamingStats>], from: &[Vec<StreamingStats>]) 
 }
 
 /// The per-shard accumulator. Dense is the normal case: one `u64` count
-/// per `(function, sensor·value)` cell, `+= 1` in the hot loop. Sparse
-/// keeps a `StreamingStats` per `(sensor, function)` cell for traces whose
-/// value dictionaries are too large to grid.
+/// per `(sensor·value, function)` cell, `+= 1` in the hot loop, laid out
+/// value-major so one sample's increments land in one row. Sparse keeps a
+/// `StreamingStats` per `(sensor, function)` cell for traces whose value
+/// dictionaries are too large to grid.
 enum Grid {
     Dense {
-        /// `func_slot × total_values` counts, inclusive attribution.
+        /// Row length: the number of function slots.
+        n_funcs: usize,
+        /// `value_slot × n_funcs + func_slot` counts, inclusive attribution.
         inclusive: Vec<u64>,
         /// Same shape, exclusive attribution.
         exclusive: Vec<u64>,
@@ -259,6 +266,7 @@ impl Grid {
     fn new(dense: bool, n_funcs: usize, n_sensors: usize, total_values: usize) -> Grid {
         if dense {
             Grid::Dense {
+                n_funcs,
                 inclusive: vec![0; n_funcs * total_values],
                 exclusive: vec![0; n_funcs * total_values],
             }
@@ -279,19 +287,21 @@ impl Grid {
         inclusive_slots: &[u32],
         exclusive_slots: &[u32],
     ) {
-        let total_values = cols.total_values();
         match self {
             Grid::Dense {
+                n_funcs,
                 inclusive,
                 exclusive,
             } => {
+                let n_funcs = *n_funcs;
                 for &vslot in &cols.value_slot[samples] {
-                    let vslot = vslot as usize;
+                    let row = vslot as usize * n_funcs..(vslot as usize + 1) * n_funcs;
+                    let (inc_row, exc_row) = (&mut inclusive[row.clone()], &mut exclusive[row]);
                     for &f in inclusive_slots {
-                        inclusive[f as usize * total_values + vslot] += 1;
+                        inc_row[f as usize] += 1;
                     }
                     for &f in exclusive_slots {
-                        exclusive[f as usize * total_values + vslot] += 1;
+                        exc_row[f as usize] += 1;
                     }
                 }
             }
@@ -324,11 +334,11 @@ const CANCEL_CHECK_SAMPLES: usize = 4_096;
 ///
 /// Samples at one instant share one stack snapshot (a sampling round
 /// reads every sensor at the same timestamp), so the sweep works per
-/// instant: admit and retire once, resolve the distinct active functions
-/// and each thread's innermost frame once, then apply both slot lists to
-/// every sample of the instant. An instant's run stops at the shard's
-/// `hi` and at the next cancellation check, so checks fall on the same
-/// samples as a per-sample sweep.
+/// instant: retire and admit once through the incremental [`ActiveSet`],
+/// then apply its inclusive and exclusive slot lists to every sample of
+/// the instant. An instant's run stops at the shard's `hi` and at the next
+/// cancellation check, so checks fall on the same samples as a per-sample
+/// sweep.
 fn sweep_range(
     ivs: &IntervalColumns,
     cols: &SampleColumns,
@@ -337,23 +347,11 @@ fn sweep_range(
     cancel: &CancelToken,
 ) -> ShardAccum {
     let n_funcs = ivs.func_ids.len();
-    let n_threads = ivs.n_threads;
     let mut grid = Grid::new(dense, n_funcs, cols.sensor_ids.len(), cols.total_values());
     let mut unattributed = 0usize;
     let mut cancelled = false;
-
-    // Sweep state. Epoch stamps replace per-instant clearing: a slot is
-    // "marked for this instant" iff its stamp equals the current epoch.
-    let mut active: Vec<u32> = Vec::new(); // interval indices, unordered
+    let mut active = ActiveSet::new(n_funcs, ivs.n_threads);
     let mut next = 0usize;
-    let mut epoch = 0u64; // 0 = "never seen"
-    let mut func_epoch: Vec<u64> = vec![0; n_funcs];
-    let mut thread_epoch: Vec<u64> = vec![0; n_threads];
-    let mut thread_best_depth: Vec<u32> = vec![0; n_threads];
-    let mut thread_best_func: Vec<u32> = vec![0; n_threads];
-    let mut touched_threads: Vec<u32> = Vec::with_capacity(n_threads);
-    let mut inclusive_slots: Vec<u32> = Vec::with_capacity(n_funcs);
-    let mut exclusive_slots: Vec<u32> = Vec::with_capacity(n_threads);
 
     let mut i = lo;
     while i < hi {
@@ -372,75 +370,202 @@ fn sweep_range(
         let instant = i..j;
         i = j;
 
-        // Admit intervals that have started and not already ended —
-        // skipping dead ones keeps a mid-trace shard's first admission
-        // from flooding the active set with the entire prefix.
+        // Retire intervals that have ended, then admit those that have
+        // started and not already ended — skipping dead ones keeps a
+        // mid-trace shard's first admission from flooding the active set
+        // with the entire prefix.
+        active.retire(t);
         while next < ivs.len() && ivs.start_ns[next] <= t {
             if ivs.end_ns[next] > t {
-                active.push(next as u32);
+                active.admit(ivs, next as u32);
             }
             next += 1;
         }
-        // Retire intervals that have ended (swap-remove keeps this O(1)
-        // per retirement; the active set is unordered by construction).
-        let mut k = 0;
-        while k < active.len() {
-            if ivs.end_ns[active[k] as usize] <= t {
-                active.swap_remove(k);
-            } else {
-                k += 1;
-            }
-        }
-        // Post-retirement, every active interval covers t: admission
-        // guarantees start ≤ t and retirement guarantees end > t, which is
-        // exactly `Interval::contains` ([start, end)).
-        if active.is_empty() {
+        active.resolve();
+        // Every active interval now covers t: admission guarantees
+        // start ≤ t and retirement guarantees end > t, which is exactly
+        // `Interval::contains` ([start, end)).
+        if active.exclusive_slots.is_empty() {
             unattributed += instant.len();
             continue;
         }
-
-        epoch += 1;
-        inclusive_slots.clear();
-        touched_threads.clear();
-        for &idx in &active {
-            let idx = idx as usize;
-            let fslot = ivs.func_slot[idx];
-            let tslot = ivs.thread_slot[idx] as usize;
-            let depth = ivs.depth[idx];
-
-            // Inclusive: each distinct function once per instant, even when
-            // on the stack multiple times (recursion) or on several threads.
-            if func_epoch[fslot as usize] != epoch {
-                func_epoch[fslot as usize] = epoch;
-                inclusive_slots.push(fslot);
-            }
-
-            // Track the innermost (deepest) frame per thread.
-            if thread_epoch[tslot] != epoch {
-                thread_epoch[tslot] = epoch;
-                thread_best_depth[tslot] = depth;
-                thread_best_func[tslot] = fslot;
-                touched_threads.push(tslot as u32);
-            } else if depth > thread_best_depth[tslot] {
-                thread_best_depth[tslot] = depth;
-                thread_best_func[tslot] = fslot;
-            }
-        }
-        // Exclusive: the innermost frame of each thread active at t.
-        exclusive_slots.clear();
-        exclusive_slots.extend(
-            touched_threads
-                .iter()
-                .map(|&tslot| thread_best_func[tslot as usize]),
+        grid.hit(
+            cols,
+            instant,
+            &active.inclusive_slots,
+            &active.exclusive_slots,
         );
-
-        grid.hit(cols, instant, &inclusive_slots, &exclusive_slots);
     }
 
     ShardAccum {
         unattributed,
         cancelled,
         grid,
+    }
+}
+
+/// Initial capacity of a thread's frame set: a typical call stack fits
+/// without regrowing it.
+const FRAMES_PER_THREAD: usize = 8;
+
+/// One active interval in its thread's frame set.
+#[derive(Clone, Copy)]
+struct ActiveFrame {
+    end_ns: u64,
+    depth: u32,
+    func_slot: u32,
+    /// Index in the timeline's intervals: the earliest wins a depth tie.
+    index: u32,
+}
+
+/// A thread's active intervals, in no particular order.
+struct ThreadFrames {
+    frames: Vec<ActiveFrame>,
+    /// Earliest `end_ns` among `frames` (`u64::MAX` when empty).
+    min_end: u64,
+    /// The thread is in [`ActiveSet::threads`].
+    listed: bool,
+    /// `frames` changed since the innermost frame was last resolved.
+    changed: bool,
+}
+
+/// A function's active intervals and its place in the inclusive list.
+#[derive(Clone, Copy, Default)]
+struct FuncActive {
+    count: u32,
+    /// Position in [`ActiveSet::inclusive_slots`] while `count > 0`.
+    pos: u32,
+}
+
+/// The sweep's active intervals, kept incrementally per function and per
+/// thread so each instant costs only its admissions and retirements.
+struct ActiveSet {
+    /// Per function slot.
+    funcs: Vec<FuncActive>,
+    /// Each function with at least one active interval, once.
+    inclusive_slots: Vec<u32>,
+    /// Per thread slot.
+    per_thread: Vec<ThreadFrames>,
+    /// Thread slots with active intervals (and, until the next resolve,
+    /// threads whose last interval just retired).
+    threads: Vec<u32>,
+    /// The innermost frame's function of each thread in `threads`,
+    /// position for position.
+    exclusive_slots: Vec<u32>,
+    /// Earliest `end_ns` over all active intervals.
+    min_end: u64,
+}
+
+impl ActiveSet {
+    fn new(n_funcs: usize, n_threads: usize) -> ActiveSet {
+        ActiveSet {
+            funcs: vec![FuncActive::default(); n_funcs],
+            inclusive_slots: Vec::with_capacity(n_funcs),
+            per_thread: (0..n_threads)
+                .map(|_| ThreadFrames {
+                    frames: Vec::with_capacity(FRAMES_PER_THREAD),
+                    min_end: u64::MAX,
+                    listed: false,
+                    changed: false,
+                })
+                .collect(),
+            threads: Vec::with_capacity(n_threads),
+            exclusive_slots: Vec::with_capacity(n_threads),
+            min_end: u64::MAX,
+        }
+    }
+
+    /// Add interval `index`, which covers the current instant.
+    fn admit(&mut self, ivs: &IntervalColumns, index: u32) {
+        let k = index as usize;
+        let (end_ns, func_slot) = (ivs.end_ns[k], ivs.func_slot[k]);
+        let func = &mut self.funcs[func_slot as usize];
+        if func.count == 0 {
+            func.pos = self.inclusive_slots.len() as u32;
+            self.inclusive_slots.push(func_slot);
+        }
+        func.count += 1;
+
+        let tslot = ivs.thread_slot[k];
+        let th = &mut self.per_thread[tslot as usize];
+        if !th.listed {
+            th.listed = true;
+            self.threads.push(tslot);
+            self.exclusive_slots.push(func_slot); // set by `resolve`
+        }
+        th.frames.push(ActiveFrame {
+            end_ns,
+            depth: ivs.depth[k],
+            func_slot,
+            index,
+        });
+        th.min_end = th.min_end.min(end_ns);
+        th.changed = true;
+        self.min_end = self.min_end.min(end_ns);
+    }
+
+    /// Drop every interval with `end_ns ≤ t`, visiting only threads whose
+    /// earliest end has passed.
+    fn retire(&mut self, t: u64) {
+        if self.min_end > t {
+            return;
+        }
+        self.min_end = u64::MAX;
+        for &tslot in &self.threads {
+            let th = &mut self.per_thread[tslot as usize];
+            if th.min_end <= t {
+                th.min_end = u64::MAX;
+                th.changed = true;
+                let mut k = 0;
+                while k < th.frames.len() {
+                    let frame = th.frames[k];
+                    if frame.end_ns > t {
+                        th.min_end = th.min_end.min(frame.end_ns);
+                        k += 1;
+                        continue;
+                    }
+                    th.frames.swap_remove(k);
+                    let func = &mut self.funcs[frame.func_slot as usize];
+                    func.count -= 1;
+                    if func.count == 0 {
+                        let pos = func.pos as usize;
+                        self.inclusive_slots.swap_remove(pos);
+                        if let Some(&moved) = self.inclusive_slots.get(pos) {
+                            self.funcs[moved as usize].pos = pos as u32;
+                        }
+                    }
+                }
+            }
+            self.min_end = self.min_end.min(th.min_end);
+        }
+    }
+
+    /// Re-resolve the innermost frame of every thread whose set changed:
+    /// the deepest, the earliest interval on a depth tie. A thread left
+    /// with no frame leaves the exclusive list.
+    fn resolve(&mut self) {
+        let mut k = 0;
+        while k < self.threads.len() {
+            let th = &mut self.per_thread[self.threads[k] as usize];
+            if !th.changed {
+                k += 1;
+                continue;
+            }
+            th.changed = false;
+            let innermost = th
+                .frames
+                .iter()
+                .min_by_key(|f| (std::cmp::Reverse(f.depth), f.index));
+            if let Some(frame) = innermost {
+                self.exclusive_slots[k] = frame.func_slot;
+                k += 1;
+            } else {
+                // Swap the last thread into place k; it is checked next.
+                th.listed = false;
+                self.threads.swap_remove(k);
+                self.exclusive_slots.swap_remove(k);
+            }
+        }
     }
 }
 
@@ -456,20 +581,21 @@ fn materialize(
 ) {
     match acc.grid {
         Grid::Dense {
+            n_funcs,
             inclusive,
             exclusive,
         } => {
-            let total_values = cols.total_values();
             for (fslot, &func) in ivs.func_ids.iter().enumerate() {
                 let mut fs = FunctionSamples::default();
                 for (sslot, &sensor) in cols.sensor_ids.iter().enumerate() {
-                    let base = fslot * total_values + cols.value_base[sslot] as usize;
+                    // The function's column of this sensor's value rows.
+                    let first = cols.value_base[sslot] as usize * n_funcs + fslot;
                     let dict = &cols.value_dicts[sslot];
-                    let inc = gather(&inclusive[base..base + dict.len()], dict);
+                    let inc = gather(&inclusive[first..], n_funcs, dict);
                     if !inc.is_empty() {
                         fs.inclusive.insert(sensor, inc);
                     }
-                    let exc = gather(&exclusive[base..base + dict.len()], dict);
+                    let exc = gather(&exclusive[first..], n_funcs, dict);
                     if !exc.is_empty() {
                         fs.exclusive.insert(sensor, exc);
                     }
@@ -503,11 +629,12 @@ fn materialize(
     }
 }
 
-/// Fold one sensor's dictionary run of counts into a fresh accumulator,
-/// pre-sized to the number of occupied buckets so the whole histogram is
-/// one allocation.
-fn gather(counts: &[u64], dict: &[u64]) -> StreamingStats {
-    let occupied = counts.iter().filter(|&&c| c > 0).count();
+/// Fold one sensor's dictionary run of counts — every `stride`-th cell
+/// from the start of `grid` — into a fresh accumulator, pre-sized to the
+/// number of occupied buckets so the whole histogram is one allocation.
+fn gather(grid: &[u64], stride: usize, dict: &[u64]) -> StreamingStats {
+    let counts = grid.iter().step_by(stride).take(dict.len());
+    let occupied = counts.clone().filter(|&&c| c > 0).count();
     let mut stats = StreamingStats::with_distinct_capacity(occupied);
     for (&key, &count) in dict.iter().zip(counts) {
         stats.push_n(f64_unkey(key), count);

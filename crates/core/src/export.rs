@@ -20,7 +20,7 @@ pub fn profile_to_csv(profile: &NodeProfile) -> String {
                 out,
                 "{},{},{:.6},{:.6},{},{},,,,,,,,,",
                 profile.node.node_id,
-                escape(&f.func.name),
+                csv_field(&f.func.name),
                 f.inclusive_secs(),
                 f.exclusive_ns as f64 / 1e9,
                 f.calls,
@@ -32,7 +32,7 @@ pub fn profile_to_csv(profile: &NodeProfile) -> String {
                 out,
                 "{},{},{:.6},{:.6},{},{},{},{},{:.2},{:.2},{:.2},{:.3},{:.3},{:.2},{:.2}",
                 profile.node.node_id,
-                escape(&f.func.name),
+                csv_field(&f.func.name),
                 f.inclusive_secs(),
                 f.exclusive_ns as f64 / 1e9,
                 f.calls,
@@ -125,8 +125,10 @@ pub fn profile_to_json(profile: &NodeProfile) -> String {
     crate::dto::ProfileDto::from_profile(profile).to_json()
 }
 
-fn escape(name: &str) -> String {
-    if name.contains(',') || name.contains('"') {
+/// One CSV field, quoted as RFC 4180 requires when it holds a comma, a
+/// double quote or a line break (embedded quotes are doubled).
+fn csv_field(name: &str) -> String {
+    if name.contains([',', '"', '\n', '\r']) {
         format!("\"{}\"", name.replace('"', "\"\""))
     } else {
         name.to_string()
@@ -180,6 +182,15 @@ mod tests {
         assert!(row.contains("104.00")); // 40 °C avg
                                          // Header columns == row columns (quotes protect the comma).
         assert_eq!(csv.lines().next().unwrap().split(',').count(), 15);
+    }
+
+    #[test]
+    fn csv_field_quotes_separators_quotes_and_line_breaks() {
+        assert_eq!(csv_field("plain"), "plain");
+        assert_eq!(csv_field("a,b"), "\"a,b\"");
+        assert_eq!(csv_field("say \"hi\""), "\"say \"\"hi\"\"\"");
+        assert_eq!(csv_field("two\nlines"), "\"two\nlines\"");
+        assert_eq!(csv_field("cr\rhere"), "\"cr\rhere\"");
     }
 
     #[test]

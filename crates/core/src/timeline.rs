@@ -122,12 +122,17 @@ impl Timeline {
             events.first().unwrap().timestamp_ns,
             events.last().unwrap().timestamp_ns,
         );
-        // Every enter becomes exactly one interval (closed or truncated).
+        // Every enter becomes exactly one interval (closed or truncated),
+        // emitted in its enter slot.
         let enters = events
             .iter()
             .filter(|e| matches!(e.kind, EventKind::Enter { .. }))
             .count();
-        tl.intervals.reserve_exact(enters);
+        let mut emitted = Emitted {
+            intervals: Vec::with_capacity(enters),
+            close_seq: vec![0; enters],
+            closed: 0,
+        };
 
         // Dense thread and function slots index the per-thread state and
         // the per-function times.
@@ -164,10 +169,10 @@ impl Timeline {
                 // of a function on this thread's stack counts. Recursion
                 // finds its frame near the top.
                 let outermost = !th.stack.iter().rev().any(|f| f.fslot == fslot);
+                let slot = emitted.open(func, e.thread, t, th.stack.len() as u32);
                 th.stack.push(Frame {
                     fslot,
-                    depth: th.stack.len() as u32,
-                    start_ns: t,
+                    slot,
                     outermost,
                 });
                 continue;
@@ -194,10 +199,10 @@ impl Timeline {
                     at_ns: t,
                 });
             }
-            // Close the target and anything above it.
-            let closed = th.stack.drain(pos..).rev();
-            tl.intervals
-                .extend(closed.map(|frame| funcs.close(frame, e.thread, t, false)));
+            // Close the target and anything above it, innermost first.
+            for frame in th.stack.drain(pos..).rev() {
+                emitted.close(&mut funcs, frame, t, false);
+            }
         }
 
         // Close anything still open at the end of the trace, threads in
@@ -211,13 +216,29 @@ impl Timeline {
                 thread: th.id,
                 count: th.stack.len(),
             });
-            let closed = th.stack.drain(..).rev();
-            tl.intervals
-                .extend(closed.map(|frame| funcs.close(frame, th.id, end, true)));
+            for frame in th.stack.drain(..).rev() {
+                emitted.close(&mut funcs, frame, end, true);
+            }
         }
 
         tl.times = funcs.ids.into_iter().zip(funcs.times).collect();
-        tl.intervals.sort_by_key(|i| (i.start_ns, i.depth));
+        // Order the slots by `(start, depth)`, ties — frames of different
+        // threads entered at one instant — in the order they closed. Enter
+        // order is start order for time-sorted events, so this stable sort
+        // is a linear pass over presorted runs, and sorting slots rather
+        // than intervals keeps its scratch small.
+        let Emitted {
+            mut intervals,
+            close_seq,
+            ..
+        } = emitted;
+        let mut order: Vec<u32> = (0..intervals.len() as u32).collect();
+        order.sort_by_key(|&slot| {
+            let i = &intervals[slot as usize];
+            (i.start_ns, i.depth, close_seq[slot as usize])
+        });
+        permute(&mut intervals, &mut order);
+        tl.intervals = intervals;
         tl
     }
 
@@ -251,8 +272,8 @@ impl Timeline {
 #[derive(Clone, Copy)]
 struct Frame {
     fslot: u32,
-    depth: u32,
-    start_ns: u64,
+    /// The frame's interval in [`Emitted::intervals`].
+    slot: u32,
     /// No other frame of the same function was open on this thread when
     /// this one was entered: its span is the function's inclusive time.
     outermost: bool,
@@ -287,20 +308,65 @@ impl Funcs {
         self.times[fslot as usize].calls += 1;
         fslot
     }
+}
 
-    /// Close `frame` at `end_ns` into an interval, crediting its
-    /// inclusive time.
-    fn close(&mut self, frame: Frame, thread: ThreadId, end_ns: u64, truncated: bool) -> Interval {
-        if frame.outermost {
-            self.times[frame.fslot as usize].inclusive_ns += end_ns.saturating_sub(frame.start_ns);
-        }
-        Interval {
-            func: self.ids[frame.fslot as usize],
+/// Intervals in enter order, with the sequence number of each one's close.
+struct Emitted {
+    intervals: Vec<Interval>,
+    /// Per interval slot: how many intervals closed before it.
+    close_seq: Vec<u32>,
+    closed: u32,
+}
+
+impl Emitted {
+    /// Open the interval of a frame entered at `start_ns`; returns its
+    /// slot. The end is filled in by [`Emitted::close`].
+    fn open(&mut self, func: FunctionId, thread: ThreadId, start_ns: u64, depth: u32) -> u32 {
+        let slot = u32::try_from(self.intervals.len()).expect("fewer than 2^32 intervals");
+        self.intervals.push(Interval {
+            func,
             thread,
-            start_ns: frame.start_ns,
-            end_ns,
-            depth: frame.depth,
-            truncated,
+            start_ns,
+            end_ns: start_ns,
+            depth,
+            truncated: false,
+        });
+        slot
+    }
+
+    /// Close `frame`'s interval at `end_ns`, crediting its inclusive time.
+    fn close(&mut self, funcs: &mut Funcs, frame: Frame, end_ns: u64, truncated: bool) {
+        let interval = &mut self.intervals[frame.slot as usize];
+        interval.end_ns = end_ns;
+        interval.truncated = truncated;
+        self.close_seq[frame.slot as usize] = self.closed;
+        self.closed += 1;
+        if frame.outermost {
+            funcs.times[frame.fslot as usize].inclusive_ns +=
+                end_ns.saturating_sub(interval.start_ns);
+        }
+    }
+}
+
+/// Reorder `items` in place so position `i` holds the item that was at
+/// `order[i]`, walking each cycle of the permutation once. `order` is
+/// consumed (left as the identity).
+fn permute<T: Copy>(items: &mut [T], order: &mut [u32]) {
+    for start in 0..items.len() {
+        if order[start] as usize == start {
+            continue;
+        }
+        let first = items[start];
+        let mut at = start;
+        loop {
+            let from = order[at] as usize;
+            order[at] = at as u32;
+            if from == start {
+                items[at] = first;
+                break;
+            }
+            items[at] = items[from];
+            at = from;
         }
     }
 }
@@ -486,6 +552,20 @@ mod tests {
             .collect();
         assert_eq!(outer, order);
         assert!(a.intervals.iter().all(|i| i.truncated && i.end_ns == 10));
+    }
+
+    #[test]
+    fn start_and_depth_ties_keep_close_order() {
+        // f on T0 and g on T1 both enter at 100 at depth 0; g exits first,
+        // so g's interval comes first although f was entered first.
+        let tl = Timeline::build(&[
+            enter(100, T0, FOO1),
+            enter(100, T1, FOO2),
+            exit(150, T1, FOO2),
+            exit(200, T0, FOO1),
+        ]);
+        let order: Vec<FunctionId> = tl.intervals.iter().map(|i| i.func).collect();
+        assert_eq!(order, vec![FOO2, FOO1]);
     }
 
     #[test]

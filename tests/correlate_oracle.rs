@@ -4,12 +4,15 @@
 //! The oracle applies the definition literally, in O(samples × intervals):
 //! a sample at instant `t` is attributed *inclusively* to every distinct
 //! function with an interval `start ≤ t < end` on any thread, and
-//! *exclusively* to the deepest such frame of each thread. The optimised
-//! per-instant sweep must agree with it at every shard count, and
-//! `build_profiles` must report the oracle's Min/Avg/Max/Sdv/Var/Med/Mod.
+//! *exclusively* to the deepest such frame of each thread (on a depth tie,
+//! the one earliest in `Timeline::intervals`). The optimised
+//! per-instant sweep must agree with it at every shard count,
+//! `build_profiles` must report the oracle's Min/Avg/Max/Sdv/Var/Med/Mod,
+//! and `hotspots` must rank functions as the oracle's cells do.
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
+use tempest_core::analysis::hotspots;
 use tempest_core::correlate::{correlate_with, Correlation};
 use tempest_core::stats::{Summary, SummaryStats};
 use tempest_core::timeline::{Interval, Timeline};
@@ -167,6 +170,64 @@ fn check_profile(p: &NodeProfile, o: &Oracle) {
     }
 }
 
+/// The hot-spot ranking from the oracle's cells and the timeline's times:
+/// each significant function scored by (its peak per-sensor average °F −
+/// the coolest significant function's peak average) × exclusive seconds,
+/// highest first. Significance is the §4.2 rule `check_profile` applies.
+fn naive_hotspots(
+    trace: &Trace,
+    timeline: &Timeline,
+    o: &Oracle,
+    dt: Option<u64>,
+) -> Vec<(String, f64)> {
+    let peak_avg = |id: FunctionId| {
+        o.inclusive
+            .range((id, SensorId(0))..=(id, SensorId(u16::MAX)))
+            .map(|(_, v)| v.iter().sum::<f64>() / v.len() as f64)
+            .reduce(f64::max)
+    };
+    let significant: Vec<(&str, f64, u64)> = trace
+        .functions
+        .iter()
+        .filter_map(|f| {
+            let times = timeline.times.get(&f.id)?;
+            let avg = peak_avg(f.id)?;
+            dt.filter(|&dt| times.inclusive_ns >= dt)?;
+            Some((f.name.as_str(), avg, times.exclusive_ns))
+        })
+        .collect();
+    let coolest = significant
+        .iter()
+        .map(|&(_, avg, _)| avg)
+        .fold(f64::MAX, f64::min);
+    let mut ranked: Vec<(String, f64)> = significant
+        .iter()
+        .map(|&(name, avg, excl)| (name.to_string(), (avg - coolest) * excl as f64 / 1e9))
+        .collect();
+    ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
+    ranked
+}
+
+/// `hotspots(profile, k)` must return the naive ranking's top `k`: the
+/// same scores in the same order, each on a function the naive ranking
+/// gives that score (tied functions may come in either order).
+fn check_hotspots(p: &NodeProfile, naive: &[(String, f64)], k: usize) {
+    let got = hotspots(p, k);
+    assert_eq!(got.len(), naive.len().min(k), "k {k}: ranking length");
+    for (spot, (_, want)) in got.iter().zip(naive) {
+        assert!(
+            close(spot.score, *want),
+            "k {k}: score {} vs {want}",
+            spot.score
+        );
+        let own = naive
+            .iter()
+            .find(|(name, _)| *name == spot.name)
+            .unwrap_or_else(|| panic!("k {k}: {} is not significant", spot.name));
+        assert!(close(own.1, spot.score), "k {k}: {} score", spot.name);
+    }
+}
+
 fn check_all_shards(timeline: &Timeline, samples: &[SensorReading]) -> Oracle {
     let o = oracle(timeline, samples);
     for shards in [1, 2, 3, 7] {
@@ -251,6 +312,42 @@ proptest! {
     }
 }
 
+/// Hand-built timelines that no call stack produces: intervals overlap
+/// freely on one thread, share depths and nest in no particular way. The
+/// sweep must still apply the oracle's definition, because `Timeline`'s
+/// fields are public; only the documented start order is kept.
+fn arb_loose_timeline() -> impl Strategy<Value = Timeline> {
+    let interval = (0u64..300, 0u64..120, 0u32..3, 0u32..4, 0u32..5);
+    prop::collection::vec(interval, 1..40).prop_map(|raw| {
+        let mut intervals: Vec<Interval> = raw
+            .into_iter()
+            .map(|(start_ns, len, thread, depth, func)| Interval {
+                func: FunctionId(func),
+                thread: ThreadId(thread),
+                start_ns,
+                end_ns: start_ns + len,
+                depth,
+                truncated: false,
+            })
+            .collect();
+        intervals.sort_by_key(|i| i.start_ns);
+        Timeline {
+            intervals,
+            ..Timeline::default()
+        }
+    })
+}
+
+proptest! {
+    #[test]
+    fn sweep_matches_oracle_on_overlapping_hand_built_timelines(
+        timeline in arb_loose_timeline(),
+        (samples, _) in arb_samples(),
+    ) {
+        check_all_shards(&timeline, &samples);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -290,6 +387,10 @@ proptest! {
                 .analyze_trace(&trace)
                 .expect("recover mode always yields a profile");
             check_profile(&profile, &o);
+            let naive = naive_hotspots(&trace, &timeline, &o, profile.sample_interval_ns);
+            for k in [3, usize::MAX] {
+                check_hotspots(&profile, &naive, k);
+            }
         }
     }
 }
