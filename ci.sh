@@ -184,6 +184,10 @@ else
     echo "!! clippy not installed; skipping lint" >&2
 fi
 
+# Doc links are checked too: a link to a deleted or private item fails.
+echo "==> cargo doc -- -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
+
 if cargo fmt --version >/dev/null 2>&1; then
     echo "==> cargo fmt --check"
     cargo fmt --all --check

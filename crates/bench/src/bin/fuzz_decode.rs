@@ -34,11 +34,12 @@ use std::time::{Duration, Instant};
 
 use tempest_probe::limits::{CancelToken, DecodeLimits};
 use tempest_probe::ship::{
-    decode_err, decode_hello, encode_err, encode_hello, Hello, SHIP_VERSION,
+    data_payload, decode_data, decode_err, decode_hello, encode_err, encode_hello, Hello,
+    SHIP_VERSION,
 };
 use tempest_probe::spool::{
-    self, decode_shipped, parse_segment_frames, shipped_payload, SpoolConfig, SpoolWriter,
-    FRAME_EVENTS,
+    self, parse_segment_frames, shipped2_payload, unwrap_frame, RawFrame, SpoolConfig, SpoolWriter,
+    FRAME_SHIPPED2,
 };
 use tempest_probe::synth::{TraceGenerator, TraceSpec};
 use tempest_probe::trace::Trace;
@@ -193,17 +194,17 @@ fn build_corpus() -> Corpus {
         session: "fuzz-session".into(),
         hostname: "fuzzbox".into(),
     });
-    let shipped = shipped_payload(
-        1,
-        64,
-        FRAME_EVENTS,
-        &trace_bytes[..256.min(trace_bytes.len())],
-    );
+    // A real spool frame as the shipper sends it (a DATA message) and as
+    // the collector stores it (a FRAME_SHIPPED2 envelope).
+    let (frames, _) = parse_segment_frames(&segment_bytes[0]);
+    let frame = frames.first().expect("corpus segment holds a frame");
+    let data = data_payload(0, frame.offset, 1_000, frame.kind, frame.payload);
+    let shipped = shipped2_payload(0, frame.offset, 1_000, 2_000, frame.kind, frame.payload);
     let err = encode_err(5, "synthetic error payload");
     Corpus {
         trace_bytes,
         segment_bytes,
-        ship_msgs: vec![hello, shipped, err],
+        ship_msgs: vec![hello, data, shipped, err],
         scratch_dir: base.join("scratch-spool"),
     }
 }
@@ -258,7 +259,12 @@ fn run_iteration(corpus: &Corpus, seed: u64, iter: u64) -> Result<(), String> {
                 let mut bytes = corpus.ship_msgs[rng.below(corpus.ship_msgs.len())].clone();
                 mutate(&mut rng, &mut bytes);
                 let _ = decode_hello(&bytes);
-                let _ = decode_shipped(&bytes);
+                let _ = decode_data(&bytes);
+                let _ = unwrap_frame(&RawFrame {
+                    offset: 0,
+                    kind: FRAME_SHIPPED2,
+                    payload: &bytes,
+                });
                 let _ = decode_err(&bytes);
                 let _ = parse_segment_frames(&bytes);
                 Ok(())

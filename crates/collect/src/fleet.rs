@@ -246,21 +246,13 @@ pub fn latest_telemetry(dir: &Path) -> Option<Telemetry> {
         };
         let (frames, _) = sp::parse_segment_frames(&bytes);
         for f in frames {
-            let (kind, payload) = match f.kind {
-                sp::FRAME_SHIPPED => match sp::decode_shipped(f.payload) {
-                    Some((_, k, p)) => (k, p),
-                    None => continue,
-                },
-                sp::FRAME_SHIPPED2 => match sp::decode_shipped2(f.payload) {
-                    Some((_, _, k, p)) => (k, p),
-                    None => continue,
-                },
-                k => (k, f.payload),
+            let Some(body) = sp::unwrap_frame(&f) else {
+                continue;
             };
-            if kind != sp::FRAME_METRICS {
+            if body.kind != sp::FRAME_METRICS {
                 continue;
             }
-            if let Some(t) = tempest_obs::decode_telemetry(payload) {
+            if let Some(t) = tempest_obs::decode_telemetry(body.payload) {
                 if latest
                     .as_ref()
                     .is_none_or(|l| t.origin_unix_ns >= l.origin_unix_ns)

@@ -161,8 +161,9 @@ impl Response {
 /// The handler type a server mounts: pure request → response.
 pub type Handler = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
 
-/// A running HTTP server; flip the shared stop flag and [`join`] to shut
-/// it down ([`HttpServer::join`]). Dropping the handle does not stop it.
+/// A running HTTP server; flip the shared stop flag and
+/// [`join`](HttpServer::join) to shut it down. Dropping the handle does
+/// not stop it.
 pub struct HttpServer {
     addr: SocketAddr,
     threads: Vec<JoinHandle<()>>,

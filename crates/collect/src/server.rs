@@ -19,10 +19,9 @@ use tempest_probe::ship::{
     MSG_METRICS, MSG_PING, MSG_PONG, MSG_WELCOME, SHIP_MAGIC, SHIP_VERSION,
 };
 use tempest_probe::spool::{
-    decode_shipped, decode_shipped2, encode_frame_into, frame_crc, list_segment_files,
-    parse_segment_frames, segment_header_bytes, shipped2_payload, write_manifest_file,
-    FRAME_FOOTER, FRAME_HEADER_LEN, FRAME_METRICS, FRAME_SHIPPED, FRAME_SHIPPED2,
-    SHIPPED2_PREFIX_LEN,
+    encode_frame_into, frame_crc, list_segment_files, parse_segment_frames, segment_header_bytes,
+    shipped2_payload, unwrap_frame, write_manifest_file, FRAME_FOOTER, FRAME_HEADER_LEN,
+    FRAME_METRICS, FRAME_SHIPPED2, SHIPPED2_PREFIX_LEN,
 };
 
 /// What to do with an incoming frame once the disk budget is exhausted.
@@ -443,7 +442,7 @@ fn handle_connection(
                     send_err(&mut stream, ERR_CORRUPT, "undecodable DATA frame");
                     break;
                 };
-                if inner_kind == FRAME_SHIPPED || inner_kind == FRAME_SHIPPED2 {
+                if inner_kind == FRAME_SHIPPED2 {
                     quarantine(&dir, &payload, shared, metrics);
                     send_err(&mut stream, ERR_CORRUPT, "nested shipped frame");
                     break;
@@ -638,9 +637,8 @@ fn quarantine(dir: &Path, bytes: &[u8], shared: &Arc<Shared>, metrics: &CollectM
 // ---- session writer --------------------------------------------------------
 
 /// Writes one shipped session as a standard spool directory. Every
-/// received frame is appended wrapped as a [`FRAME_SHIPPED2`] envelope
-/// (older [`FRAME_SHIPPED`] segments still resume), so
-/// the directory is self-describing: the resume cursor is recomputed at
+/// received frame is appended wrapped as a [`FRAME_SHIPPED2`] envelope,
+/// so the directory is self-describing: the resume cursor is recomputed at
 /// open by scanning the segments, and a torn tail atomically loses the
 /// data and the cursor that covered it — there is no window where one
 /// survives without the other.
@@ -684,26 +682,22 @@ impl SessionWriter {
             };
             let (frames, _) = parse_segment_frames(&bytes);
             for f in frames {
-                // Both envelope generations resume identically; v1
-                // segments written by an older collector stay honest.
-                let decoded = match f.kind {
-                    FRAME_SHIPPED => decode_shipped(f.payload),
-                    FRAME_SHIPPED2 => {
-                        decode_shipped2(f.payload).map(|(cur, _stamps, k, p)| (cur, k, p))
-                    }
-                    _ => continue,
+                // Malformed envelopes are skipped exactly as recovery
+                // discards them, so they never move the cursor.
+                let Some(body) = unwrap_frame(&f) else {
+                    continue;
                 };
-                let Some(((seg, off), inner_kind, inner_payload)) = decoded else {
+                let Some(shipped) = body.shipped else {
                     continue;
                 };
                 let after = Cursor {
-                    seg,
-                    off: off + (FRAME_HEADER_LEN + inner_payload.len()) as u64,
+                    seg: shipped.seg,
+                    off: shipped.off + (FRAME_HEADER_LEN + body.payload.len()) as u64,
                 };
                 if next.is_none_or(|n| after > n) {
                     next = Some(after);
                 }
-                if inner_kind == FRAME_FOOTER {
+                if body.kind == FRAME_FOOTER {
                     footer_seen = true;
                 }
             }
@@ -877,6 +871,74 @@ mod tests {
         t.join().unwrap().unwrap();
         assert_eq!(handle.stats().deadline_cutoffs.load(Ordering::Relaxed), 1);
         std::fs::remove_dir_all(&out).ok();
+    }
+
+    #[test]
+    fn malformed_envelopes_are_rejected_by_every_reader() {
+        use tempest_probe::spool::{fsck_dir, recover_with};
+        use tempest_probe::{CancelToken, DecodeLimits};
+
+        let dir =
+            std::env::temp_dir().join(format!("tempest-collect-malformed-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let telemetry = |origin_unix_ns: u64| {
+            tempest_obs::encode_telemetry(&tempest_obs::Telemetry {
+                node_id: 0,
+                hostname: "h".into(),
+                origin_unix_ns,
+                snapshot: tempest_obs::Registry::new().snapshot(),
+            })
+        };
+        // One collector segment: two good envelopes (telemetry, footer),
+        // then a runt envelope and an envelope wrapping another envelope
+        // whose cursor and telemetry stamp both lie beyond the good ones.
+        let metrics = telemetry(10);
+        let footer = [0u8; 32];
+        let footer_off = 100 + (FRAME_HEADER_LEN + metrics.len()) as u64;
+        let inner = shipped2_payload(0, 1 << 20, 0, 0, FRAME_METRICS, &telemetry(99));
+        let mut seg = segment_header_bytes(0).to_vec();
+        let mut push = |payload: &[u8]| encode_frame_into(&mut seg, FRAME_SHIPPED2, payload);
+        push(&shipped2_payload(0, 100, 1, 2, FRAME_METRICS, &metrics));
+        push(&shipped2_payload(
+            0,
+            footer_off,
+            3,
+            4,
+            FRAME_FOOTER,
+            &footer,
+        ));
+        push(&[0u8; SHIPPED2_PREFIX_LEN - 1]);
+        push(&shipped2_payload(0, 1 << 20, 5, 6, FRAME_SHIPPED2, &inner));
+        std::fs::write(dir.join("seg-000000.seg"), &seg).unwrap();
+
+        let limits = DecodeLimits::default();
+        let (_, report) = recover_with(&dir, &limits, &CancelToken::default()).unwrap();
+        assert_eq!(report.frames_recovered, 2);
+        assert_eq!(report.frames_discarded, 2, "runt and nested envelope");
+        assert_eq!(report.shipped_through, Some((0, footer_off)));
+        assert_eq!(report.frame_traces.len(), 2);
+
+        let fsck = fsck_dir(&dir, &limits).unwrap();
+        assert_eq!(fsck[0].frames_ok, 2);
+        assert_eq!(fsck[0].violations.len(), 2, "{:?}", fsck[0].violations);
+
+        let t = crate::fleet::latest_telemetry(&dir).unwrap();
+        assert_eq!(t.origin_unix_ns, 10, "the nested snapshot is not read");
+
+        let w = SessionWriter::open(&dir, 0, "h", 1 << 20, false).unwrap();
+        let after_footer = Cursor {
+            seg: 0,
+            off: footer_off + (FRAME_HEADER_LEN + footer.len()) as u64,
+        };
+        assert_eq!(
+            w.next,
+            Some(after_footer),
+            "resume after the good frames only"
+        );
+        assert!(w.footer_seen);
+        drop(w);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

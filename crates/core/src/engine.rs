@@ -22,7 +22,7 @@
 //! [`ClusterProfile`]: crate::merge::ClusterProfile
 
 use crate::cache::{AnalysisCache, CacheKey};
-use crate::parser::{analyze_trace_salvaged_impl, AnalysisOptions};
+use crate::parser::{analyze_trace_salvaged, AnalysisOptions};
 use crate::profile::NodeProfile;
 use rayon::prelude::*;
 use std::cell::RefCell;
@@ -86,22 +86,9 @@ impl Engine {
     ///
     /// Under `options.recover` each file is decoded with salvage and its
     /// losses flow into the profile's `DataQuality`; otherwise decoding
-    /// and analysis are strict.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use tempest_core::api::AnalysisRequest::analyze_on instead"
-    )]
-    pub fn analyze_files(
-        &self,
-        paths: &[String],
-        options: AnalysisOptions,
-    ) -> Vec<Result<NodeProfile, String>> {
-        self.analyze_files_impl(paths, options)
-    }
-
-    /// The pipeline behind the deprecated [`Engine::analyze_files`] shim
-    /// and [`crate::api::AnalysisRequest::analyze_on`].
-    pub(crate) fn analyze_files_impl(
+    /// and analysis are strict. The pipeline behind
+    /// [`crate::api::AnalysisRequest::analyze_on`].
+    pub(crate) fn analyze_files(
         &self,
         paths: &[String],
         options: AnalysisOptions,
@@ -224,8 +211,7 @@ fn decode_and_analyze(
             )
         }
     };
-    analyze_trace_salvaged_impl(&trace, salvage.as_ref(), options)
-        .map_err(|e| format!("{path}: {e}"))
+    analyze_trace_salvaged(&trace, salvage.as_ref(), options).map_err(|e| format!("{path}: {e}"))
 }
 
 /// One node's pipeline: read the whole file, decode, analyze.
@@ -293,7 +279,7 @@ mod tests {
         let (dir, mut paths) = write_traces("order", 6);
         paths.reverse(); // input order 5,4,3,2,1,0
         let engine = Engine::new(4);
-        let results = engine.analyze_files_impl(&paths, AnalysisOptions::default());
+        let results = engine.analyze_files(&paths, AnalysisOptions::default());
         let ids: Vec<u32> = results
             .iter()
             .map(|r| r.as_ref().unwrap().node.node_id)
@@ -305,8 +291,8 @@ mod tests {
     #[test]
     fn parallel_matches_sequential() {
         let (dir, paths) = write_traces("match", 4);
-        let seq = Engine::new(1).analyze_files_impl(&paths, AnalysisOptions::default());
-        let par = Engine::new(4).analyze_files_impl(&paths, AnalysisOptions::default());
+        let seq = Engine::new(1).analyze_files(&paths, AnalysisOptions::default());
+        let par = Engine::new(4).analyze_files(&paths, AnalysisOptions::default());
         assert_eq!(seq.len(), par.len());
         for (a, b) in seq.iter().zip(&par) {
             let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
@@ -325,7 +311,7 @@ mod tests {
     fn missing_file_error_carries_path_in_place() {
         let (dir, mut paths) = write_traces("err", 2);
         paths.insert(1, "/nonexistent/gone.trace".to_string());
-        let results = Engine::new(2).analyze_files_impl(&paths, AnalysisOptions::default());
+        let results = Engine::new(2).analyze_files(&paths, AnalysisOptions::default());
         assert!(results[0].is_ok());
         let err = results[1].as_ref().unwrap_err();
         assert!(err.starts_with("/nonexistent/gone.trace:"), "{err}");
@@ -342,12 +328,12 @@ mod tests {
         let cut_s = cut.to_str().unwrap().to_string();
 
         // Strict: decode error mentions the path.
-        let strict = Engine::new(2)
-            .analyze_files_impl(std::slice::from_ref(&cut_s), AnalysisOptions::default());
+        let strict =
+            Engine::new(2).analyze_files(std::slice::from_ref(&cut_s), AnalysisOptions::default());
         assert!(strict[0].is_err());
 
         // Recover: profile produced, losses recorded.
-        let rec = Engine::new(2).analyze_files_impl(&[cut_s], AnalysisOptions::recovering());
+        let rec = Engine::new(2).analyze_files(&[cut_s], AnalysisOptions::recovering());
         let p = rec[0].as_ref().unwrap();
         assert!(!p.quality.is_pristine());
         std::fs::remove_dir_all(&dir).ok();
@@ -386,7 +372,7 @@ mod tests {
         let (dir, paths) = write_traces("render", 3);
         let engine = Engine::new(2);
         let direct: Vec<String> = engine
-            .analyze_files_impl(&paths, AnalysisOptions::default())
+            .analyze_files(&paths, AnalysisOptions::default())
             .into_iter()
             .map(|r| crate::report::render_stdout(&r.unwrap()))
             .collect();

@@ -1,7 +1,7 @@
 //! The one-call front door: trace in, profile out.
 //!
 //! Figure 1 of the paper: users "invoke the Tempest parser for post
-//! processing" after a run. [`analyze_trace`] is that invocation — it
+//! processing" after a run. [`AnalysisRequest`] is that invocation — it
 //! chains timeline reconstruction, symbolisation (validating that every
 //! event's function id resolves through the trace's symbol table, as the
 //! original resolved addresses against the executable), correlation, and
@@ -14,9 +14,12 @@
 //!   a non-finite sample temperature — is a typed [`ParseError`].
 //! * **Recover** ([`AnalysisOptions::recover`]): malformed content is
 //!   dropped, the longest usable subsequence is analysed, and every loss
-//!   is tallied in the profile's [`DataQuality`] record. Use
-//!   [`analyze_trace_salvaged`] to also fold in the losses a
+//!   is tallied in the profile's [`DataQuality`] record.
+//!   [`AnalysisRequest::analyze_salvaged`] also folds in the losses a
 //!   [`SalvageReport`] observed while reading a truncated trace file.
+//!
+//! [`AnalysisRequest`]: crate::api::AnalysisRequest
+//! [`AnalysisRequest::analyze_salvaged`]: crate::api::AnalysisRequest::analyze_salvaged
 
 use crate::columns::SlotIndex;
 use crate::correlate::correlate_with_cancel;
@@ -87,7 +90,7 @@ pub enum ParseError {
     },
     /// The trace contains no scope events at all — there is nothing to
     /// profile. Only reported by diagnostics ([`ParseError::classify`]);
-    /// `analyze_trace` itself tolerates empty traces.
+    /// analysis itself tolerates empty traces.
     NoScopeEvents,
 }
 
@@ -160,32 +163,10 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Analyse one node's trace into a [`NodeProfile`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use tempest_core::api::AnalysisRequest::analyze_trace instead"
-)]
-pub fn analyze_trace(trace: &Trace, options: AnalysisOptions) -> Result<NodeProfile, ParseError> {
-    analyze_trace_salvaged_impl(trace, None, options)
-}
-
-/// [`analyze_trace`], additionally folding the losses a salvage read
-/// observed ([`Trace::read_salvage`]) into the profile's [`DataQuality`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use tempest_core::api::AnalysisRequest::analyze_salvaged instead"
-)]
-pub fn analyze_trace_salvaged(
-    trace: &Trace,
-    salvage: Option<&SalvageReport>,
-    options: AnalysisOptions,
-) -> Result<NodeProfile, ParseError> {
-    analyze_trace_salvaged_impl(trace, salvage, options)
-}
-
-/// The real analysis body behind both deprecated public shims and the
-/// [`crate::api`] facade.
-pub(crate) fn analyze_trace_salvaged_impl(
+/// Analyse one node's trace into a [`NodeProfile`], folding the losses a
+/// salvage read observed ([`Trace::read_salvage`]), if any, into the
+/// profile's [`DataQuality`]. The body behind [`crate::api::AnalysisRequest`].
+pub(crate) fn analyze_trace_salvaged(
     trace: &Trace,
     salvage: Option<&SalvageReport>,
     options: AnalysisOptions,
@@ -361,20 +342,6 @@ mod tests {
     use tempest_probe::func::{FunctionDef, FunctionId, ScopeKind};
     use tempest_sensors::{SensorId, Temperature};
 
-    // Shadow the deprecated shims with the impl so the unit tests keep
-    // their call shape without tripping `-D deprecated`.
-    fn analyze_trace(trace: &Trace, options: AnalysisOptions) -> Result<NodeProfile, ParseError> {
-        analyze_trace_salvaged_impl(trace, None, options)
-    }
-
-    fn analyze_trace_salvaged(
-        trace: &Trace,
-        salvage: Option<&SalvageReport>,
-        options: AnalysisOptions,
-    ) -> Result<NodeProfile, ParseError> {
-        analyze_trace_salvaged_impl(trace, salvage, options)
-    }
-
     fn mini_trace() -> Trace {
         let sec = 1_000_000_000u64;
         Trace {
@@ -403,7 +370,7 @@ mod tests {
 
     #[test]
     fn end_to_end_analysis() {
-        let p = analyze_trace(&mini_trace(), AnalysisOptions::default()).unwrap();
+        let p = analyze_trace_salvaged(&mini_trace(), None, AnalysisOptions::default()).unwrap();
         assert_eq!(p.functions.len(), 1);
         let main = p.by_name("main").unwrap();
         assert!(main.significant);
@@ -417,7 +384,7 @@ mod tests {
     fn unknown_function_id_is_an_error() {
         let mut t = mini_trace();
         t.events.push(Event::enter(1, ThreadId(0), FunctionId(9)));
-        let err = analyze_trace(&t, AnalysisOptions::default()).unwrap_err();
+        let err = analyze_trace_salvaged(&t, None, AnalysisOptions::default()).unwrap_err();
         assert!(matches!(err, ParseError::UnknownFunction(9)));
         assert!(err.to_string().contains("unknown function id 9"));
     }
@@ -425,8 +392,9 @@ mod tests {
     #[test]
     fn forced_sample_interval_reapplies_significance() {
         // Force an interval longer than main's 10 s: nothing significant.
-        let p = analyze_trace(
+        let p = analyze_trace_salvaged(
             &mini_trace(),
+            None,
             AnalysisOptions {
                 sample_interval_ns: Some(11_000_000_000),
                 ..Default::default()
@@ -442,7 +410,7 @@ mod tests {
     fn recover_drops_unknown_function_events() {
         let mut t = mini_trace();
         t.events.push(Event::enter(1, ThreadId(0), FunctionId(9)));
-        let p = analyze_trace(&t, AnalysisOptions::recovering()).unwrap();
+        let p = analyze_trace_salvaged(&t, None, AnalysisOptions::recovering()).unwrap();
         assert_eq!(p.quality.events_dropped_unknown_func, 1);
         assert!(p.quality.recovered);
         // The valid part of the trace still profiles normally.
@@ -457,12 +425,12 @@ mod tests {
             .insert(1, Event::enter(5_000_000_000, ThreadId(0), FunctionId(0)));
         t.events
             .insert(2, Event::exit(2_000_000_000, ThreadId(0), FunctionId(0)));
-        let err = analyze_trace(&t, AnalysisOptions::default()).unwrap_err();
+        let err = analyze_trace_salvaged(&t, None, AnalysisOptions::default()).unwrap_err();
         assert!(
             matches!(err, ParseError::NonMonotonicTimestamps { index: 2, .. }),
             "{err:?}"
         );
-        let p = analyze_trace(&t, AnalysisOptions::recovering()).unwrap();
+        let p = analyze_trace_salvaged(&t, None, AnalysisOptions::recovering()).unwrap();
         assert_eq!(p.quality.events_dropped_nonmonotonic, 1);
         assert!(p.by_name("main").is_some());
     }
@@ -475,9 +443,9 @@ mod tests {
             1,
             Temperature::from_celsius(f64::NAN),
         ));
-        let err = analyze_trace(&t, AnalysisOptions::default()).unwrap_err();
+        let err = analyze_trace_salvaged(&t, None, AnalysisOptions::default()).unwrap_err();
         assert!(matches!(err, ParseError::NonFiniteSample { index: 40 }));
-        let p = analyze_trace(&t, AnalysisOptions::recovering()).unwrap();
+        let p = analyze_trace_salvaged(&t, None, AnalysisOptions::recovering()).unwrap();
         assert_eq!(p.quality.nonfinite_samples_skipped, 1);
         assert_eq!(p.by_name("main").unwrap().thermal[&SensorId(0)].count, 40);
     }
@@ -488,7 +456,7 @@ mod tests {
         for i in 0..4 {
             t.events.push(Event::gap(i * 250_000_000, SensorId(0)));
         }
-        let p = analyze_trace(&t, AnalysisOptions::recovering()).unwrap();
+        let p = analyze_trace_salvaged(&t, None, AnalysisOptions::recovering()).unwrap();
         assert_eq!(p.quality.gap_events, 4);
         // 4 gaps × 250 ms estimated interval.
         assert_eq!(p.quality.gap_time_ns, 1_000_000_000);
@@ -511,7 +479,7 @@ mod tests {
                 kind: tempest_sensors::SensorKind::CpuCore,
             },
         ];
-        let p = analyze_trace(&t, AnalysisOptions::recovering()).unwrap();
+        let p = analyze_trace_salvaged(&t, None, AnalysisOptions::recovering()).unwrap();
         assert!(
             (p.quality.sensor_coverage - 0.5).abs() < 1e-9,
             "{}",
@@ -573,7 +541,7 @@ mod tests {
             ..Default::default()
         };
         // Strict options + expired deadline: no error, a flagged profile.
-        let p = analyze_trace(&t, options).unwrap();
+        let p = analyze_trace_salvaged(&t, None, options).unwrap();
         assert!(p.quality.deadline_hit);
         assert!(p.quality.was_limited());
         assert!(!p.quality.is_pristine());
@@ -582,7 +550,7 @@ mod tests {
             deadline: Some(std::time::Instant::now() + std::time::Duration::from_secs(3600)),
             ..Default::default()
         };
-        let full = analyze_trace(&t, future).unwrap();
+        let full = analyze_trace_salvaged(&t, None, future).unwrap();
         assert!(!full.quality.deadline_hit);
         assert!(full.by_name("main").unwrap().significant);
     }

@@ -4,8 +4,8 @@
 //! Counters say *how often* the pipeline degraded; the flight recorder
 //! says *what happened, in order*. Call sites record state transitions
 //! (sensor quarantine, backpressure shedding, decode limit hits,
-//! ship retry/backoff, degrade-to-local) through the [`event!`]
-//! macro; the ring keeps the most recent [`DEFAULT_FLIGHT_CAPACITY`]
+//! ship retry/backoff, degrade-to-local) through the
+//! [`event!`](crate::event!) macro; the ring keeps the most recent [`DEFAULT_FLIGHT_CAPACITY`]
 //! events. On panic, `LimitExceeded`, or shipping degradation the ring
 //! is dumped as `flight.json` beside the spool, where `tempest doctor`
 //! picks it up for triage.
@@ -97,7 +97,8 @@ impl FlightRecorder {
         ring.push_back(event);
     }
 
-    /// Convenience constructor + record used by the [`event!`] macro.
+    /// Convenience constructor + record used by the
+    /// [`event!`](crate::event!) macro.
     pub fn record_parts(
         &self,
         level: FlightLevel,

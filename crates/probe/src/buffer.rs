@@ -110,12 +110,6 @@ impl ChannelSink {
     /// second writer stalls.
     pub const DEFAULT_QUEUE_BATCHES: usize = 256;
 
-    /// Create a sink and the receiving end with the default bounded queue
-    /// and the lossless [`OverflowPolicy::Block`] policy.
-    pub fn new() -> (Arc<Self>, Receiver<Vec<Event>>) {
-        Self::bounded(Self::DEFAULT_QUEUE_BATCHES, OverflowPolicy::default())
-    }
-
     /// Create a sink whose queue holds at most `capacity` batches,
     /// overflowing according to `policy`.
     pub fn bounded(capacity: usize, policy: OverflowPolicy) -> (Arc<Self>, Receiver<Vec<Event>>) {
@@ -305,7 +299,8 @@ mod tests {
 
     #[test]
     fn channel_sink_forwards_batches() {
-        let (sink, rx) = ChannelSink::new();
+        let (sink, rx) =
+            ChannelSink::bounded(ChannelSink::DEFAULT_QUEUE_BATCHES, OverflowPolicy::Block);
         sink.submit(&[ev(1), ev(2)]);
         sink.submit(&[ev(3)]);
         drop(sink);
@@ -316,7 +311,8 @@ mod tests {
 
     #[test]
     fn channel_sink_survives_closed_receiver() {
-        let (sink, rx) = ChannelSink::new();
+        let (sink, rx) =
+            ChannelSink::bounded(ChannelSink::DEFAULT_QUEUE_BATCHES, OverflowPolicy::Block);
         drop(rx);
         sink.submit(&[ev(1)]); // must not panic
     }

@@ -51,7 +51,6 @@ pub mod profiler;
 pub mod session;
 pub mod ship;
 pub mod spool;
-pub mod stream;
 pub mod synth;
 pub mod tempd;
 pub mod trace;
@@ -64,7 +63,7 @@ pub use func::{FunctionDef, FunctionId, FunctionRegistry, ScopeKind};
 pub use guard::ScopeGuard;
 pub use limits::{CancelToken, DecodeLimits, LimitExceeded, LimitKind, ResourceBudget};
 pub use profiler::Profiler;
-pub use session::{ProfilingSession, SpooledSession, StreamingSession};
+pub use session::{ProfilingSession, SpooledSession};
 pub use ship::{RetryPolicy, ShipConfig, ShipReport};
 pub use spool::{FsyncPolicy, SpoolConfig, SpoolReport, SpoolSink, SpoolStats, SpoolWriter};
 pub use synth::{TraceGenerator, TraceSpec};

@@ -15,7 +15,7 @@
 //!   expects. The server is authoritative: whatever the client believes,
 //!   it resumes where the collector's durable state says. That, plus the
 //!   collector writing each frame wrapped with its source cursor
-//!   ([`spool::FRAME_SHIPPED`]), is what makes resume idempotent — an
+//!   ([`spool::FRAME_SHIPPED2`]), is what makes resume idempotent — an
 //!   ACK lost to a reset can only cause a re-send, which recovery
 //!   discards by cursor.
 //! * `DATA` carries one spool frame tagged with its source cursor; the

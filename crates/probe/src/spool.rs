@@ -1,7 +1,6 @@
 //! Crash-consistent trace spooling: a segmented write-ahead log.
 //!
-//! The in-memory [`Trace`] loses everything on a crash and the chunked
-//! stream format (`stream.rs`) only tolerates a torn *tail*. This module
+//! The in-memory [`Trace`] loses everything on a crash. This module
 //! gives Tempest a durability story strong enough for `kill -9`: events
 //! stream to disk as CRC-checksummed, length-prefixed frames inside
 //! bounded-size *segment* files. The active segment is `seg-NNNNNN.open`;
@@ -25,7 +24,6 @@ use crate::buffer::{ChannelSink, EventSink, OverflowPolicy};
 use crate::event::{Event, EventKind, ThreadId};
 use crate::func::{FunctionDef, FunctionId, FunctionRegistry, ScopeKind};
 use crate::limits::{CancelToken, DecodeLimits, LimitExceeded};
-use crate::stream::synthesize_functions;
 use crate::trace::{NodeMeta, SalvageReport, SensorMeta, Trace, TraceError, TraceSection};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -60,15 +58,9 @@ pub const FRAME_SYMBOLS: u8 = 2;
 pub const FRAME_NODE: u8 = 3;
 /// Frame kind: the orderly-shutdown session footer.
 pub const FRAME_FOOTER: u8 = 4;
-/// Frame kind: a network-shipped frame. The payload is a source-spool
-/// cursor (`seg: u64 | off: u64`) followed by the original frame's kind
-/// byte and payload. The collector daemon writes every received frame
-/// wrapped this way so its spool is self-describing: recovery unwraps the
-/// inner frame and uses the cursor to discard duplicates a reconnecting
-/// shipper may have re-sent, which is what makes resume idempotent.
-pub const FRAME_SHIPPED: u8 = 5;
-/// The shipped-frame wrapper prefix: cursor (two u64) + inner kind.
-pub const SHIPPED_PREFIX_LEN: usize = 8 + 8 + 1;
+// Frame kind 5 was the first shipped-frame envelope, which carried no
+// transit timestamps. It is retired: nothing writes it and readers skip it
+// as an unknown kind. Never reuse the byte.
 /// Frame kind: an encoded [`tempest_obs::Telemetry`] snapshot of the
 /// writing process's metric registry plus sampling health. Written
 /// periodically by the spool writer thread so self-telemetry rides the
@@ -76,14 +68,18 @@ pub const SHIPPED_PREFIX_LEN: usize = 8 + 8 + 1;
 /// Recovery verifies and counts these frames but does not fold them into
 /// the trace; readers that predate them skip them as unknown kinds.
 pub const FRAME_METRICS: u8 = 6;
-/// Frame kind: a network-shipped frame wrapped with its source cursor
-/// *and* transit timestamps — the v2 of [`FRAME_SHIPPED`]. The collector
-/// stamps each accepted frame with the shipper's send time and its own
-/// receive time (both wall-clock Unix nanoseconds), which is what lets
-/// recovery reconstruct per-frame spool→ship→collect latency.
+/// Frame kind: a network-shipped frame. The payload is the source-spool
+/// cursor (`seg: u64 | off: u64`), the shipper's send time and the
+/// collector's receive time (both wall-clock Unix nanoseconds), then the
+/// original frame's kind byte and payload. The collector daemon writes
+/// every received frame wrapped this way so its spool is self-describing:
+/// recovery unwraps the inner frame, uses the cursor to discard
+/// duplicates a reconnecting shipper may have re-sent (which is what
+/// makes resume idempotent), and turns the stamps into per-frame
+/// spool→ship→collect latency. [`unwrap_frame`] is its one decoder.
 pub const FRAME_SHIPPED2: u8 = 7;
-/// The v2 wrapper prefix: cursor (two u64), origin and collect
-/// timestamps (two u64), inner kind.
+/// The shipped-frame wrapper prefix: cursor (two u64), origin and
+/// collect timestamps (two u64), inner kind.
 pub const SHIPPED2_PREFIX_LEN: usize = 8 + 8 + 8 + 8 + 1;
 /// Flight-recorder dump file name beside a spool's segments.
 pub const FLIGHT_DUMP_NAME: &str = "flight.json";
@@ -441,8 +437,8 @@ impl SpoolWriter {
     /// torn tail is exactly what recovery already discards), the batch is
     /// counted as IO-dropped in [`SpoolStats`] and the
     /// `spool_batches_dropped_io_total` counter, and every
-    /// [`REVIVE_INTERVAL`](Self::REVIVE_INTERVAL) dropped batches the
-    /// writer tries to open a fresh segment in case the disk recovered.
+    /// `REVIVE_INTERVAL` dropped batches the writer tries to open a fresh
+    /// segment in case the disk recovered.
     pub fn append_batch(&mut self, batch: &[Event]) -> io::Result<()> {
         if batch.is_empty() {
             return Ok(());
@@ -890,7 +886,7 @@ fn encode_node(node: &NodeMeta) -> Vec<u8> {
     buf.extend_from_slice(&(node.sensors.len() as u16).to_le_bytes());
     for s in &node.sensors {
         buf.extend_from_slice(&s.id.0.to_le_bytes());
-        buf.push(crate::stream::sensor_kind_code(s.kind));
+        buf.push(crate::trace::encode_sensor_kind(s.kind));
         push_str(&mut buf, &s.label);
     }
     buf
@@ -1067,7 +1063,7 @@ pub(crate) fn decode_node(payload: &[u8], limits: &DecodeLimits) -> Result<NodeM
         Vec::with_capacity(limits.clamp_prealloc(nsensors, r.remaining(), SENSOR_ENTRY_MIN_LEN));
     for _ in 0..nsensors {
         let id = SensorId(r.u16().ok_or(FrameFail::Corrupt)?);
-        let kind = crate::stream::decode_sensor_kind(r.u8().ok_or(FrameFail::Corrupt)?)
+        let kind = crate::trace::decode_sensor_kind(r.u8().ok_or(FrameFail::Corrupt)?)
             .map_err(|_| FrameFail::Corrupt)?;
         let label = r.str(limits, "sensor label")?;
         sensors.push(SensorMeta { id, label, kind });
@@ -1108,8 +1104,7 @@ pub struct SpoolReport {
     /// Telemetry ([`FRAME_METRICS`]) frames that decoded cleanly.
     pub telemetry_frames: u64,
     /// Per-frame transit records recovered from [`FRAME_SHIPPED2`]
-    /// wrappers, in cursor order. Empty for locally-written spools and
-    /// spools collected by a pre-v2 collector.
+    /// wrappers, in cursor order. Empty for locally-written spools.
     pub frame_traces: Vec<FrameTrace>,
     /// The equivalent [`SalvageReport`], for feeding the analyzer's data
     /// quality accounting.
@@ -1258,31 +1253,6 @@ pub fn parse_segment_frames(bytes: &[u8]) -> (Vec<RawFrame<'_>>, u64) {
     (frames, 0)
 }
 
-/// Build a [`FRAME_SHIPPED`] payload: the source-spool cursor of the
-/// wrapped frame followed by the frame it wraps. The collector writes
-/// these instead of the inner frame directly so its spool is
-/// self-describing — the resume cursor survives any crash because it is
-/// part of the same checksummed frame as the data it covers.
-pub fn shipped_payload(seg: u64, off: u64, inner_kind: u8, inner_payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(SHIPPED_PREFIX_LEN + inner_payload.len());
-    out.extend_from_slice(&seg.to_le_bytes());
-    out.extend_from_slice(&off.to_le_bytes());
-    out.push(inner_kind);
-    out.extend_from_slice(inner_payload);
-    out
-}
-
-/// Split a [`FRAME_SHIPPED`] payload back into `((seg, off), kind, payload)`.
-/// `None` if the payload is too short to hold the cursor prefix.
-pub fn decode_shipped(payload: &[u8]) -> Option<((u64, u64), u8, &[u8])> {
-    if payload.len() < SHIPPED_PREFIX_LEN {
-        return None;
-    }
-    let seg = u64::from_le_bytes(payload[0..8].try_into().unwrap());
-    let off = u64::from_le_bytes(payload[8..16].try_into().unwrap());
-    Some(((seg, off), payload[16], &payload[SHIPPED_PREFIX_LEN..]))
-}
-
 /// Build a [`FRAME_SHIPPED2`] payload: the source cursor, the shipper's
 /// send timestamp, the collector's receive timestamp (both wall-clock
 /// Unix nanoseconds), then the wrapped frame. The two stamps are what
@@ -1305,27 +1275,69 @@ pub fn shipped2_payload(
     out
 }
 
-/// Decoded [`FRAME_SHIPPED2`] payload: source cursor `(seg, off)`,
-/// `(origin_ns, collect_ns)`, inner frame kind, inner payload.
-pub type DecodedShipped2<'a> = ((u64, u64), (u64, u64), u8, &'a [u8]);
+/// A frame with its [`FRAME_SHIPPED2`] envelope, if it had one, taken off.
+#[derive(Debug, Clone, Copy)]
+pub struct FrameBody<'a> {
+    /// Kind of the frame, or of the frame the envelope wrapped.
+    pub kind: u8,
+    /// Payload of the frame, or of the frame the envelope wrapped.
+    pub payload: &'a [u8],
+    /// The envelope's source cursor and transit stamps; `None` for a
+    /// frame that was not shipped.
+    pub shipped: Option<FrameTrace>,
+}
 
-/// Split a [`FRAME_SHIPPED2`] payload back into
-/// `((seg, off), (origin_ns, collect_ns), kind, payload)`. `None` if the
-/// payload cannot hold the prefix.
-pub fn decode_shipped2(payload: &[u8]) -> Option<DecodedShipped2<'_>> {
-    if payload.len() < SHIPPED2_PREFIX_LEN {
+/// Take the [`FRAME_SHIPPED2`] envelope off `frame`; any other kind comes
+/// back as it is. Borrows, never allocates. `None` for a malformed
+/// envelope: one too short for its prefix, or one wrapping another
+/// envelope. Every reader of collected spools goes through here, so they
+/// all reject the same frames.
+pub fn unwrap_frame<'a>(frame: &RawFrame<'a>) -> Option<FrameBody<'a>> {
+    if frame.kind != FRAME_SHIPPED2 {
+        return Some(FrameBody {
+            kind: frame.kind,
+            payload: frame.payload,
+            shipped: None,
+        });
+    }
+    let p = frame.payload;
+    let kind = *p.get(SHIPPED2_PREFIX_LEN - 1)?;
+    if kind == FRAME_SHIPPED2 {
         return None;
     }
-    let seg = u64::from_le_bytes(payload[0..8].try_into().unwrap());
-    let off = u64::from_le_bytes(payload[8..16].try_into().unwrap());
-    let origin = u64::from_le_bytes(payload[16..24].try_into().unwrap());
-    let collect = u64::from_le_bytes(payload[24..32].try_into().unwrap());
-    Some((
-        (seg, off),
-        (origin, collect),
-        payload[32],
-        &payload[SHIPPED2_PREFIX_LEN..],
-    ))
+    let word = |i: usize| u64::from_le_bytes(p[i * 8..i * 8 + 8].try_into().unwrap());
+    Some(FrameBody {
+        kind,
+        payload: &p[SHIPPED2_PREFIX_LEN..],
+        shipped: Some(FrameTrace {
+            seg: word(0),
+            off: word(1),
+            origin_unix_ns: word(2),
+            collect_unix_ns: word(3),
+        }),
+    })
+}
+
+/// Build a placeholder symbol table (ids only) for an event stream whose
+/// real symbol table was lost to a crash.
+fn synthesize_functions(events: &[Event]) -> Vec<FunctionDef> {
+    let mut ids: Vec<u32> = events
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::Enter { func } | EventKind::Exit { func } => Some(func.0),
+            _ => None,
+        })
+        .collect();
+    ids.sort_unstable();
+    ids.dedup();
+    ids.into_iter()
+        .map(|id| FunctionDef {
+            id: FunctionId(id),
+            name: format!("fn#{id}"),
+            address: 0x400000 + 16 * id as u64,
+            kind: ScopeKind::Function,
+        })
+        .collect()
 }
 
 /// Scan a spool directory and reassemble the trace it holds.
@@ -1375,42 +1387,26 @@ pub fn recover_with(
         report.frames_discarded += discarded;
         for frame in frames {
             // Collector-written spools wrap every frame with its source
-            // cursor (and, since v2, transit timestamps); unwrap, and
-            // drop any frame whose cursor does not advance (a re-send
-            // after a reconnect).
-            let (kind, payload) = if frame.kind == FRAME_SHIPPED || frame.kind == FRAME_SHIPPED2 {
-                let unwrapped = if frame.kind == FRAME_SHIPPED {
-                    decode_shipped(frame.payload).map(|(c, k, p)| (c, None, k, p))
-                } else {
-                    decode_shipped2(frame.payload).map(|(c, t, k, p)| (c, Some(t), k, p))
-                };
-                match unwrapped {
-                    Some((cursor, stamps, inner_kind, inner_payload))
-                        if inner_kind != FRAME_SHIPPED && inner_kind != FRAME_SHIPPED2 =>
-                    {
-                        if report.shipped_through.is_some_and(|c| cursor <= c) {
-                            report.frames_deduped += 1;
-                            continue;
-                        }
-                        report.shipped_through = Some(cursor);
-                        if let Some((origin_unix_ns, collect_unix_ns)) = stamps {
-                            report.frame_traces.push(FrameTrace {
-                                seg: cursor.0,
-                                off: cursor.1,
-                                origin_unix_ns,
-                                collect_unix_ns,
-                            });
-                        }
-                        (inner_kind, inner_payload)
-                    }
-                    _ => {
-                        report.frames_discarded += 1;
-                        continue;
-                    }
-                }
-            } else {
-                (frame.kind, frame.payload)
+            // cursor and transit timestamps; unwrap, and drop any frame
+            // whose cursor does not advance (a re-send after a reconnect).
+            let Some(FrameBody {
+                kind,
+                payload,
+                shipped,
+            }) = unwrap_frame(&frame)
+            else {
+                report.frames_discarded += 1;
+                continue;
             };
+            if let Some(trace) = shipped {
+                let cursor = (trace.seg, trace.off);
+                if report.shipped_through.is_some_and(|c| cursor <= c) {
+                    report.frames_deduped += 1;
+                    continue;
+                }
+                report.shipped_through = Some(cursor);
+                report.frame_traces.push(trace);
+            }
             let decoded = match kind {
                 FRAME_EVENTS => match decode_events(payload) {
                     Some(events) => {
@@ -1591,28 +1587,12 @@ pub fn fsck_dir(dir: &Path, limits: &DecodeLimits) -> io::Result<Vec<SegmentFsck
             violations: Vec::new(),
         };
         for frame in frames {
-            let (kind, payload) = if frame.kind == FRAME_SHIPPED || frame.kind == FRAME_SHIPPED2 {
-                let unwrapped = if frame.kind == FRAME_SHIPPED {
-                    decode_shipped(frame.payload).map(|(_, k, p)| (k, p))
-                } else {
-                    decode_shipped2(frame.payload).map(|(_, _, k, p)| (k, p))
-                };
-                match unwrapped {
-                    Some((inner_kind, inner_payload))
-                        if inner_kind != FRAME_SHIPPED && inner_kind != FRAME_SHIPPED2 =>
-                    {
-                        (inner_kind, inner_payload)
-                    }
-                    _ => {
-                        fsck.violations.push(format!(
-                            "frame @{}: malformed shipped wrapper",
-                            frame.offset
-                        ));
-                        continue;
-                    }
-                }
-            } else {
-                (frame.kind, frame.payload)
+            let Some(FrameBody { kind, payload, .. }) = unwrap_frame(&frame) else {
+                fsck.violations.push(format!(
+                    "frame @{}: malformed shipped wrapper",
+                    frame.offset
+                ));
+                continue;
             };
             let verdict: Result<(), FrameFail> = match kind {
                 FRAME_EVENTS => decode_events(payload).map(drop).ok_or(FrameFail::Corrupt),
@@ -2385,12 +2365,15 @@ mod tests {
         let (src_trace, _) = recover(&src).unwrap();
 
         // ...and replay its frames into a collector-style spool wrapped
-        // with their source cursors, then re-send everything after the
-        // node frame a second time — what a shipper that lost an ACK and
-        // resumed from a stale cursor would produce.
-        let push_shipped = |out: &mut Vec<u8>, f: &RawFrame| {
-            let payload = shipped_payload(0, f.offset, f.kind, f.payload);
-            encode_frame_into(out, FRAME_SHIPPED, &payload);
+        // with their source cursors and transit stamps, then re-send
+        // everything after the node frame a second time — what a shipper
+        // that lost an ACK and resumed from a stale cursor would produce.
+        // The re-sends carry later stamps than the originals.
+        let stamps = |f: &RawFrame, resend: u64| (1_000 + f.offset, 2_000 + f.offset + resend);
+        let push_shipped = |out: &mut Vec<u8>, f: &RawFrame, resend: u64| {
+            let (origin, collect) = stamps(f, resend);
+            let payload = shipped2_payload(0, f.offset, origin, collect, f.kind, f.payload);
+            encode_frame_into(out, FRAME_SHIPPED2, &payload);
         };
         let dst = temp_spool_dir("shipdst");
         std::fs::create_dir_all(&dst).unwrap();
@@ -2400,14 +2383,14 @@ mod tests {
         let mut out = Vec::new();
         out.extend_from_slice(&segment_header_bytes(0));
         for f in &frames {
-            push_shipped(&mut out, f);
+            push_shipped(&mut out, f, 0);
         }
         for f in frames.iter().skip(1) {
-            push_shipped(&mut out, f);
+            push_shipped(&mut out, f, 500);
         }
         // A shipped frame too short to hold its cursor prefix is
         // quarantined as discarded, never decoded.
-        encode_frame_into(&mut out, FRAME_SHIPPED, &[0u8; 4]);
+        encode_frame_into(&mut out, FRAME_SHIPPED2, &[0u8; SHIPPED2_PREFIX_LEN - 1]);
         std::fs::write(dst.join("seg-000000.seg"), &out).unwrap();
 
         let (trace, report) = recover(&dst).unwrap();
@@ -2418,6 +2401,21 @@ mod tests {
             Some((0, frames.last().unwrap().offset))
         );
         assert!(report.clean_shutdown, "the wrapped footer still counts");
+        // One transit record per kept frame, carrying the first send's
+        // stamps: the deduped re-sends leave no trace.
+        let expected: Vec<FrameTrace> = frames
+            .iter()
+            .map(|f| {
+                let (origin_unix_ns, collect_unix_ns) = stamps(f, 0);
+                FrameTrace {
+                    seg: 0,
+                    off: f.offset,
+                    origin_unix_ns,
+                    collect_unix_ns,
+                }
+            })
+            .collect();
+        assert_eq!(report.frame_traces, expected);
         assert_eq!(
             trace, src_trace,
             "collector-side recovery must equal local recovery"
