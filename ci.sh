@@ -8,6 +8,12 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release
 
+# The benchmark (perfbench/, its own workspace) builds against these
+# crates by path: a change that breaks its compile, or that would rewrite
+# its lock file, fails here rather than when the benchmark runs.
+echo "==> cargo check perfbench (benchmark must build, lock file unchanged)"
+cargo check --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q"
 cargo test -q
 

@@ -34,8 +34,7 @@ use std::time::{Duration, Instant};
 
 use tempest_probe::limits::{CancelToken, DecodeLimits};
 use tempest_probe::ship::{
-    data_payload, decode_data, decode_err, decode_hello, encode_err, encode_hello, Hello,
-    SHIP_VERSION,
+    decode_err, decode_hello, encode_err, encode_hello, Hello, SHIP_VERSION,
 };
 use tempest_probe::spool::{
     self, parse_segment_frames, shipped2_payload, unwrap_frame, RawFrame, SpoolConfig, SpoolWriter,
@@ -194,11 +193,11 @@ fn build_corpus() -> Corpus {
         session: "fuzz-session".into(),
         hostname: "fuzzbox".into(),
     });
-    // A real spool frame as the shipper sends it (a DATA message) and as
-    // the collector stores it (a FRAME_SHIPPED2 envelope).
+    // A real spool frame as the shipper sends it (a DATA message: the
+    // envelope with collect stamp 0) and as the collector stores it.
     let (frames, _) = parse_segment_frames(&segment_bytes[0]);
     let frame = frames.first().expect("corpus segment holds a frame");
-    let data = data_payload(0, frame.offset, 1_000, frame.kind, frame.payload);
+    let data = shipped2_payload(0, frame.offset, 1_000, 0, frame.kind, frame.payload);
     let shipped = shipped2_payload(0, frame.offset, 1_000, 2_000, frame.kind, frame.payload);
     let err = encode_err(5, "synthetic error payload");
     Corpus {
@@ -259,7 +258,6 @@ fn run_iteration(corpus: &Corpus, seed: u64, iter: u64) -> Result<(), String> {
                 let mut bytes = corpus.ship_msgs[rng.below(corpus.ship_msgs.len())].clone();
                 mutate(&mut rng, &mut bytes);
                 let _ = decode_hello(&bytes);
-                let _ = decode_data(&bytes);
                 let _ = unwrap_frame(&RawFrame {
                     offset: 0,
                     kind: FRAME_SHIPPED2,

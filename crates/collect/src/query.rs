@@ -249,7 +249,9 @@ impl QueryServer {
 }
 
 /// Scan the collected directory into a fresh catalog: one entry per
-/// member spool, hashed over its segment bytes in cursor order.
+/// member spool, hashed over its segment bytes in cursor order. The CRC
+/// runs over one segment file at a time, so a rescan holds at most one
+/// segment in memory.
 fn scan_catalog(dir: &Path) -> BTreeMap<String, SessionEntry> {
     let mut catalog = BTreeMap::new();
     for member in fleet::member_dirs(dir) {
@@ -261,14 +263,15 @@ fn scan_catalog(dir: &Path) -> BTreeMap<String, SessionEntry> {
         let Ok(segments) = spool::list_segment_files(&member) else {
             continue;
         };
-        let mut bytes: Vec<u8> = Vec::new();
+        let mut crc = spool::Crc32::new();
+        let mut len = 0u64;
         for (_, path) in &segments {
             if let Ok(b) = std::fs::read(path) {
-                bytes.extend_from_slice(&b);
+                crc.update(&b);
+                len += b.len() as u64;
             }
         }
-        let crc = spool::crc32(&bytes);
-        let len = bytes.len() as u64;
+        let crc = crc.finish();
         catalog.insert(
             id,
             SessionEntry {
@@ -508,4 +511,31 @@ fn session_profile_for(
         .unwrap_or_else(|e| e.into_inner())
         .insert(memo_key, Arc::clone(&profile));
     Ok(profile)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn etag_is_the_crc_of_the_joined_segments() {
+        let dir = std::env::temp_dir().join(format!("tempest-catalog-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let member = dir.join("s-node0");
+        std::fs::create_dir_all(&member).unwrap();
+        let mut joined = Vec::new();
+        for seq in 0..3u64 {
+            let mut seg = spool::segment_header_bytes(seq).to_vec();
+            seg.extend((0..100 * (seq + 1)).map(|i| (i * 7 + seq) as u8));
+            std::fs::write(member.join(format!("seg-{seq:06}.seg")), &seg).unwrap();
+            joined.extend_from_slice(&seg);
+        }
+        let catalog = scan_catalog(&dir);
+        let entry = &catalog["s-node0"];
+        let crc = spool::crc32(&joined);
+        assert_eq!(entry.segments, 3);
+        assert_eq!(entry.bytes, joined.len() as u64);
+        assert_eq!(entry.etag, format!("\"{crc:08x}-{:x}\"", joined.len()));
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

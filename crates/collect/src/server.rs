@@ -13,15 +13,15 @@ use std::time::{Duration, Instant};
 use crate::fleet::FleetState;
 use parking_lot::Mutex;
 use tempest_probe::ship::{
-    decode_data, decode_hello, encode_err, read_msg, write_msg, Cursor, DATA_PREFIX_LEN,
-    ERR_CORRUPT, ERR_DEADLINE, ERR_FULL, ERR_OUT_OF_ORDER, ERR_PROTOCOL, ERR_RATE_LIMITED,
-    ERR_TOO_BIG, MAX_WIRE_LEN, MSG_ACK, MSG_BYE, MSG_BYE_ACK, MSG_DATA, MSG_ERR, MSG_HELLO,
-    MSG_METRICS, MSG_PING, MSG_PONG, MSG_WELCOME, SHIP_MAGIC, SHIP_VERSION,
+    decode_hello, encode_err, read_msg, write_msg, Cursor, WireError, ERR_CORRUPT, ERR_DEADLINE,
+    ERR_FULL, ERR_OUT_OF_ORDER, ERR_PROTOCOL, ERR_RATE_LIMITED, ERR_TOO_BIG, MAX_WIRE_LEN, MSG_ACK,
+    MSG_BYE, MSG_BYE_ACK, MSG_DATA, MSG_ERR, MSG_HELLO, MSG_METRICS, MSG_PING, MSG_PONG,
+    MSG_WELCOME, SHIP_MAGIC, SHIP_VERSION,
 };
 use tempest_probe::spool::{
-    encode_frame_into, frame_crc, list_segment_files, parse_segment_frames, segment_header_bytes,
-    shipped2_payload, unwrap_frame, write_manifest_file, FRAME_FOOTER, FRAME_HEADER_LEN,
-    FRAME_METRICS, FRAME_SHIPPED2, SHIPPED2_PREFIX_LEN,
+    encode_frame_into, list_segment_files, parse_segment_frames, segment_header_bytes,
+    set_collect_stamp, unwrap_frame, write_manifest_file, FrameBody, RawFrame, FRAME_FOOTER,
+    FRAME_HEADER_LEN, FRAME_METRICS, FRAME_SHIPPED2, SHIPPED2_PREFIX_LEN,
 };
 
 /// What to do with an incoming frame once the disk budget is exhausted.
@@ -402,6 +402,10 @@ fn handle_connection(
     // Token bucket for the per-connection rate limit.
     let mut tokens = config.rate_limit.map(|r| (2.0 * r as f64, Instant::now()));
 
+    // A DATA message is a frame plus the shipped-envelope prefix.
+    let max_msg = config
+        .max_frame_bytes
+        .saturating_add(SHIPPED2_PREFIX_LEN as u32);
     let session_start = Instant::now();
     let mut completed = false;
     loop {
@@ -419,10 +423,23 @@ fn handle_connection(
                 break;
             }
         }
-        let (kind, payload) = match read_checked(&mut stream, config, &dir, shared, metrics) {
-            Ok(Some(msg)) => msg,
-            Ok(None) => break, // clean EOF or quarantined: connection over
-            Err(_) => break,   // timeout/reset: shipper will reconnect
+        let (kind, mut payload) = match read_msg(&mut stream, max_msg) {
+            Ok(msg) => msg,
+            Err(WireError::TooBig(len)) => {
+                send_err(
+                    &mut stream,
+                    ERR_TOO_BIG,
+                    &format!("{len}-byte frame over limit"),
+                );
+                break;
+            }
+            Err(WireError::Checksum(bytes)) => {
+                quarantine(&dir, &bytes, shared, metrics);
+                send_err(&mut stream, ERR_CORRUPT, "wire checksum failed");
+                break;
+            }
+            // End of stream, timeout or reset: the shipper reconnects.
+            Err(WireError::Eof | WireError::Io(_)) => break,
         };
         match kind {
             MSG_DATA => {
@@ -436,20 +453,26 @@ fn handle_connection(
                     }
                     *bucket -= 1.0;
                 }
-                let Some((cur, origin_ns, inner_kind, inner_payload)) = decode_data(&payload)
+                // DATA is the stored envelope with a zero collect stamp,
+                // checked by the same decoder recovery uses.
+                let raw = RawFrame {
+                    offset: 0,
+                    kind: FRAME_SHIPPED2,
+                    payload: &payload,
+                };
+                let Some(FrameBody {
+                    kind: inner_kind,
+                    payload: inner_payload,
+                    shipped: Some(shipped),
+                }) = unwrap_frame(&raw)
                 else {
                     quarantine(&dir, &payload, shared, metrics);
-                    send_err(&mut stream, ERR_CORRUPT, "undecodable DATA frame");
+                    send_err(&mut stream, ERR_CORRUPT, "malformed DATA envelope");
                     break;
                 };
-                if inner_kind == FRAME_SHIPPED2 {
-                    quarantine(&dir, &payload, shared, metrics);
-                    send_err(&mut stream, ERR_CORRUPT, "nested shipped frame");
-                    break;
-                }
                 let cur = Cursor {
-                    seg: cur.0,
-                    off: cur.1,
+                    seg: shipped.seg,
+                    off: shipped.off,
                 };
                 let next_after = Cursor {
                     seg: cur.seg,
@@ -490,11 +513,8 @@ fn handle_connection(
                 let collect_ns = tempest_obs::unix_now_ns();
                 metrics
                     .frame_latency
-                    .record(collect_ns.saturating_sub(origin_ns));
-                // What lands on disk is the v2 envelope: source cursor
-                // plus both trace stamps ahead of the original frame.
-                let frame_bytes =
-                    (FRAME_HEADER_LEN + SHIPPED2_PREFIX_LEN + inner_payload.len()) as u64;
+                    .record(collect_ns.saturating_sub(shipped.origin_unix_ns));
+                let frame_bytes = (FRAME_HEADER_LEN + payload.len()) as u64;
                 if let Some(budget) = config.disk_budget_bytes {
                     if shared.disk_used.load(Ordering::Relaxed) + frame_bytes > budget {
                         shared.stats.shed.fetch_add(1, Ordering::Relaxed);
@@ -513,10 +533,7 @@ fn handle_connection(
                         shared.fleet.update(&key, &hello.session, t);
                     }
                 }
-                if writer
-                    .append_shipped2(cur, origin_ns, collect_ns, inner_kind, inner_payload)
-                    .is_err()
-                {
+                if writer.append_stamped(&mut payload, collect_ns).is_err() {
                     send_err(&mut stream, ERR_FULL, "collector write failed");
                     break;
                 }
@@ -582,45 +599,6 @@ fn handle_connection(
     metrics
         .sessions_active
         .set(shared.active.lock().len().saturating_sub(1) as f64);
-}
-
-/// Read one wire message, enforcing the size limit before allocation and
-/// quarantining (to a file, with `ERR_CORRUPT` sent) on checksum failure.
-/// `Ok(None)` means the connection is over (EOF, oversize, or corrupt).
-fn read_checked(
-    stream: &mut TcpStream,
-    config: &CollectorConfig,
-    dir: &Path,
-    shared: &Arc<Shared>,
-    metrics: &CollectMetrics,
-) -> io::Result<Option<(u8, Vec<u8>)>> {
-    let mut head = [0u8; FRAME_HEADER_LEN];
-    if let Err(e) = stream.read_exact(&mut head) {
-        return if e.kind() == io::ErrorKind::UnexpectedEof {
-            Ok(None)
-        } else {
-            Err(e)
-        };
-    }
-    let kind = head[0];
-    let len = u32::from_le_bytes(head[1..5].try_into().unwrap());
-    let crc = u32::from_le_bytes(head[5..9].try_into().unwrap());
-    let limit = config
-        .max_frame_bytes
-        .saturating_add(DATA_PREFIX_LEN as u32)
-        .min(MAX_WIRE_LEN);
-    if len > limit {
-        send_err(stream, ERR_TOO_BIG, &format!("{len}-byte frame over limit"));
-        return Ok(None);
-    }
-    let mut payload = vec![0u8; len as usize];
-    stream.read_exact(&mut payload)?;
-    if frame_crc(kind, &payload) != crc {
-        quarantine(dir, &payload, shared, metrics);
-        send_err(stream, ERR_CORRUPT, "wire checksum failed");
-        return Ok(None);
-    }
-    Ok(Some((kind, payload)))
 }
 
 /// Park undecodable bytes in `dir/quarantine/` for post-mortems instead
@@ -750,27 +728,13 @@ impl SessionWriter {
         Ok(w)
     }
 
-    /// Append one received frame as a [`FRAME_SHIPPED2`] envelope —
-    /// source cursor plus both frame-trace stamps ahead of the original
-    /// frame — rotating the collector-side segment when it fills.
-    fn append_shipped2(
-        &mut self,
-        cur: Cursor,
-        origin_ns: u64,
-        collect_ns: u64,
-        inner_kind: u8,
-        inner_payload: &[u8],
-    ) -> io::Result<()> {
-        let wrapped = shipped2_payload(
-            cur.seg,
-            cur.off,
-            origin_ns,
-            collect_ns,
-            inner_kind,
-            inner_payload,
-        );
+    /// Write the collect stamp into a received DATA payload and append
+    /// it, as it is, as one [`FRAME_SHIPPED2`] frame, rotating the
+    /// collector-side segment when it fills.
+    fn append_stamped(&mut self, payload: &mut [u8], collect_ns: u64) -> io::Result<()> {
+        set_collect_stamp(payload, collect_ns);
         self.scratch.clear();
-        encode_frame_into(&mut self.scratch, FRAME_SHIPPED2, &wrapped);
+        encode_frame_into(&mut self.scratch, FRAME_SHIPPED2, payload);
         self.out.write_all(&self.scratch)?;
         self.bytes_in_segment += self.scratch.len() as u64;
         if self.fsync_per_frame {
@@ -823,6 +787,7 @@ impl SessionWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tempest_probe::spool::shipped2_payload;
 
     #[test]
     fn session_dir_names_are_sanitized() {
@@ -870,6 +835,35 @@ mod tests {
 
         t.join().unwrap().unwrap();
         assert_eq!(handle.stats().deadline_cutoffs.load(Ordering::Relaxed), 1);
+        std::fs::remove_dir_all(&out).ok();
+    }
+
+    #[test]
+    fn v2_shipper_is_refused_at_hello() {
+        use tempest_probe::ship::{decode_err, encode_hello, Hello};
+
+        let out = std::env::temp_dir().join(format!("tempest-collect-v2-{}", std::process::id()));
+        std::fs::remove_dir_all(&out).ok();
+        let collector = Collector::bind("127.0.0.1:0", CollectorConfig::new(&out)).unwrap();
+        let addr = collector.local_addr().unwrap();
+        let t = std::thread::spawn(move || collector.serve_connections(1));
+
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(SHIP_MAGIC).unwrap();
+        let hello = Hello {
+            version: 2,
+            node_id: 1,
+            session: "v2".into(),
+            hostname: "test".into(),
+        };
+        write_msg(&mut stream, MSG_HELLO, &encode_hello(&hello)).unwrap();
+        let (kind, payload) = read_msg(&mut stream, MAX_WIRE_LEN).unwrap();
+        assert_eq!(kind, MSG_ERR);
+        assert_eq!(
+            decode_err(&payload),
+            (ERR_PROTOCOL, "unsupported protocol version 2".into())
+        );
+        t.join().unwrap().unwrap();
         std::fs::remove_dir_all(&out).ok();
     }
 
@@ -938,6 +932,25 @@ mod tests {
         );
         assert!(w.footer_seen);
         drop(w);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn received_data_lands_as_the_stored_envelope() {
+        let dir =
+            std::env::temp_dir().join(format!("tempest-collect-stamped-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let inner = b"inner frame payload";
+        // What a shipper sends: the envelope with collect stamp 0.
+        let mut data = shipped2_payload(4, 96, 1_000, 0, FRAME_METRICS, inner);
+        let mut w = SessionWriter::open(&dir, 2, "h", 1 << 20, false).unwrap();
+        w.append_stamped(&mut data, 2_000).unwrap();
+        w.close(true);
+
+        let mut want = segment_header_bytes(0).to_vec();
+        let stored = shipped2_payload(4, 96, 1_000, 2_000, FRAME_METRICS, inner);
+        encode_frame_into(&mut want, FRAME_SHIPPED2, &stored);
+        assert_eq!(std::fs::read(dir.join("seg-000000.seg")).unwrap(), want);
         std::fs::remove_dir_all(&dir).ok();
     }
 

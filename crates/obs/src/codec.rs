@@ -1,13 +1,21 @@
-//! Binary wire codec for metric snapshots.
+//! Tempest's binary codec, and the [`Telemetry`] record built on it.
+//!
+//! Every Tempest binary format — the `.trace` file, spool frames, ship
+//! messages and telemetry records — is little-endian with `u16`
+//! length-prefixed UTF-8 strings. [`Reader`] is the one bounds-checked
+//! reader of those bytes and [`put_str`] the one string writer; this
+//! crate owns them because every format crate already depends on it.
+//! The reader applies no limits of its own: a declared count or string
+//! length is a claim, and each caller checks it against its own caps
+//! before acting on it.
 //!
 //! A [`Telemetry`] record is one node's point-in-time [`Snapshot`]
 //! (counters, gauges, histograms — spans are deliberately dropped, they
 //! are process-local debugging detail) plus the identity needed to file
 //! it into a fleet view: node id, hostname, and the wall-clock origin
-//! timestamp. The encoding is a compact length-prefixed little-endian
-//! format so it can ride inside spool frames and ship messages that are
-//! already CRC-framed; the decoder is bounds-checked and refuses
-//! hostile declared counts rather than sizing allocations from them.
+//! timestamp. It rides inside spool frames and ship messages that are
+//! already CRC-framed; its decoder refuses hostile declared counts
+//! rather than sizing allocations from them.
 
 use crate::registry::{HistogramSnapshot, Snapshot, HISTOGRAM_BUCKETS};
 
@@ -42,11 +50,88 @@ pub fn unix_now_ns() -> u64 {
         .unwrap_or(0)
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    let bytes = s.as_bytes();
-    let len = bytes.len().min(MAX_NAME_LEN as usize);
-    out.extend_from_slice(&(len as u16).to_le_bytes());
-    out.extend_from_slice(&bytes[..len]);
+/// Why a [`Reader`] could not produce a value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DecodeError {
+    /// The input ended inside the value.
+    Truncated,
+    /// The bytes are there but the format does not allow them (reason
+    /// attached): invalid UTF-8, a bad tag or magic, a count over a cap.
+    Invalid(&'static str),
+}
+
+/// Bounds-checked little-endian reader over an in-memory buffer. Reads
+/// borrow from the buffer; only [`Reader::string`] allocates, and only
+/// after the caller has checked the length it read.
+pub struct Reader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Reader { bytes, pos: 0 }
+    }
+
+    /// Bytes not yet read.
+    pub fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+        if self.remaining() < n {
+            return Err(DecodeError::Truncated);
+        }
+        let out = &self.bytes[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(out)
+    }
+
+    /// The next `N` bytes as an array.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        Ok(self.take(N)?.try_into().unwrap())
+    }
+
+    /// One byte.
+    pub fn u8(&mut self) -> Result<u8, DecodeError> {
+        Ok(self.take(1)?[0])
+    }
+
+    /// A little-endian `u16`.
+    pub fn u16(&mut self) -> Result<u16, DecodeError> {
+        self.array().map(u16::from_le_bytes)
+    }
+
+    /// A little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, DecodeError> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    /// A little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, DecodeError> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// The next `len` bytes as a UTF-8 string. A string is written by
+    /// [`put_str`] as a `u16` length then the bytes: read the length with
+    /// [`Reader::u16`], check it against the caller's limit, then call
+    /// this, so a hostile length is refused before anything is read.
+    pub fn string(&mut self, len: usize) -> Result<String, DecodeError> {
+        std::str::from_utf8(self.take(len)?)
+            .map(str::to_owned)
+            .map_err(|_| DecodeError::Invalid("invalid UTF-8 string"))
+    }
+}
+
+/// Appends `s` as a `u16` byte length then its bytes, cut to at most
+/// `max` bytes at the last character boundary at or below it, so the cut
+/// string still decodes.
+pub fn put_str(out: &mut Vec<u8>, s: &str, max: u16) {
+    let s = &s[..s.floor_char_boundary(max as usize)];
+    out.extend_from_slice(&(s.len() as u16).to_le_bytes());
+    out.extend_from_slice(s.as_bytes());
 }
 
 /// Encodes a telemetry record for transport.
@@ -55,21 +140,21 @@ pub fn encode_telemetry(t: &Telemetry) -> Vec<u8> {
     out.extend_from_slice(TELEMETRY_MAGIC);
     out.extend_from_slice(&t.node_id.to_le_bytes());
     out.extend_from_slice(&t.origin_unix_ns.to_le_bytes());
-    put_str(&mut out, &t.hostname);
+    put_str(&mut out, &t.hostname, MAX_NAME_LEN);
     let snap = &t.snapshot;
     out.extend_from_slice(&(snap.counters.len().min(MAX_METRICS as usize) as u32).to_le_bytes());
     for (name, value) in snap.counters.iter().take(MAX_METRICS as usize) {
-        put_str(&mut out, name);
+        put_str(&mut out, name, MAX_NAME_LEN);
         out.extend_from_slice(&value.to_le_bytes());
     }
     out.extend_from_slice(&(snap.gauges.len().min(MAX_METRICS as usize) as u32).to_le_bytes());
     for (name, value) in snap.gauges.iter().take(MAX_METRICS as usize) {
-        put_str(&mut out, name);
+        put_str(&mut out, name, MAX_NAME_LEN);
         out.extend_from_slice(&value.to_bits().to_le_bytes());
     }
     out.extend_from_slice(&(snap.histograms.len().min(MAX_METRICS as usize) as u32).to_le_bytes());
     for h in snap.histograms.iter().take(MAX_METRICS as usize) {
-        put_str(&mut out, &h.name);
+        put_str(&mut out, &h.name, MAX_NAME_LEN);
         out.extend_from_slice(&h.count.to_le_bytes());
         out.extend_from_slice(&h.sum.to_le_bytes());
         out.extend_from_slice(&(h.buckets.len().min(HISTOGRAM_BUCKETS) as u16).to_le_bytes());
@@ -81,82 +166,43 @@ pub fn encode_telemetry(t: &Telemetry) -> Vec<u8> {
     out
 }
 
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        if end > self.bytes.len() {
-            return None;
-        }
-        let out = &self.bytes[self.pos..end];
-        self.pos = end;
-        Some(out)
-    }
-
-    fn u16(&mut self) -> Option<u16> {
-        Some(u16::from_le_bytes(self.take(2)?.try_into().ok()?))
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-
-    fn string(&mut self) -> Option<String> {
-        let len = self.u16()?;
-        if len > MAX_NAME_LEN {
-            return None;
-        }
-        String::from_utf8(self.take(len as usize)?.to_vec()).ok()
-    }
-
-    fn bounded_count(&mut self, cap: u32) -> Option<u32> {
-        let n = self.u32()?;
-        (n <= cap).then_some(n)
-    }
-}
-
 /// Decodes a telemetry record; `None` on truncation, bad magic, or a
 /// hostile declared count.
 pub fn decode_telemetry(bytes: &[u8]) -> Option<Telemetry> {
-    let mut r = Reader { bytes, pos: 0 };
+    read_telemetry(&mut Reader::new(bytes)).ok()
+}
+
+fn read_telemetry(r: &mut Reader<'_>) -> Result<Telemetry, DecodeError> {
     if r.take(4)? != TELEMETRY_MAGIC {
-        return None;
+        return Err(DecodeError::Invalid("bad telemetry magic"));
     }
     let node_id = r.u32()?;
     let origin_unix_ns = r.u64()?;
-    let hostname = r.string()?;
+    let hostname = read_name(r)?;
     let mut snapshot = Snapshot::default();
-    let n = r.bounded_count(MAX_METRICS)?;
+    let n = read_count(r)?;
     snapshot.counters.reserve(n.min(64) as usize);
     for _ in 0..n {
-        let name = r.string()?;
+        let name = read_name(r)?;
         let value = r.u64()?;
         snapshot.counters.push((name, value));
     }
-    let n = r.bounded_count(MAX_METRICS)?;
+    let n = read_count(r)?;
     snapshot.gauges.reserve(n.min(64) as usize);
     for _ in 0..n {
-        let name = r.string()?;
+        let name = read_name(r)?;
         let value = f64::from_bits(r.u64()?);
         snapshot.gauges.push((name, value));
     }
-    let n = r.bounded_count(MAX_METRICS)?;
+    let n = read_count(r)?;
     snapshot.histograms.reserve(n.min(64) as usize);
     for _ in 0..n {
-        let name = r.string()?;
+        let name = read_name(r)?;
         let count = r.u64()?;
         let sum = r.u64()?;
         let nbuckets = r.u16()?;
         if nbuckets as usize > HISTOGRAM_BUCKETS {
-            return None;
+            return Err(DecodeError::Invalid("too many histogram buckets"));
         }
         let mut buckets = Vec::with_capacity(nbuckets as usize);
         for _ in 0..nbuckets {
@@ -171,15 +217,31 @@ pub fn decode_telemetry(bytes: &[u8]) -> Option<Telemetry> {
             buckets,
         });
     }
-    if r.pos != bytes.len() {
-        return None;
+    if r.remaining() != 0 {
+        return Err(DecodeError::Invalid("trailing bytes"));
     }
-    Some(Telemetry {
+    Ok(Telemetry {
         node_id,
         hostname,
         origin_unix_ns,
         snapshot,
     })
+}
+
+fn read_name(r: &mut Reader<'_>) -> Result<String, DecodeError> {
+    let len = r.u16()?;
+    if len > MAX_NAME_LEN {
+        return Err(DecodeError::Invalid("name too long"));
+    }
+    r.string(len as usize)
+}
+
+fn read_count(r: &mut Reader<'_>) -> Result<u32, DecodeError> {
+    let n = r.u32()?;
+    if n > MAX_METRICS {
+        return Err(DecodeError::Invalid("too many metrics"));
+    }
+    Ok(n)
 }
 
 #[cfg(test)]
@@ -236,6 +298,38 @@ mod tests {
         let mut padded = bytes.clone();
         padded.push(0);
         assert!(decode_telemetry(&padded).is_none());
+    }
+
+    #[test]
+    fn name_cut_at_the_cap_keeps_whole_characters() {
+        let hostname = format!("{}é", "h".repeat(MAX_NAME_LEN as usize - 1));
+        let t = Telemetry {
+            hostname: hostname.clone(),
+            ..Telemetry::default()
+        };
+        let back = decode_telemetry(&encode_telemetry(&t)).expect("a cut name still decodes");
+        assert_eq!(back.hostname, hostname[..MAX_NAME_LEN as usize - 1]);
+    }
+
+    #[test]
+    fn reader_refuses_truncation_and_bad_utf8() {
+        let mut out = Vec::new();
+        put_str(&mut out, "héllo", u16::MAX);
+        put_str(&mut out, "aé", 2);
+        let mut r = Reader::new(&out);
+        let len = r.u16().unwrap() as usize;
+        assert_eq!(r.string(len).unwrap(), "héllo");
+        let len = r.u16().unwrap() as usize;
+        assert_eq!(
+            r.string(len).unwrap(),
+            "a",
+            "cut before the split character"
+        );
+        assert_eq!(r.remaining(), 0);
+        assert_eq!(r.u8(), Err(DecodeError::Truncated));
+        let mut r = Reader::new(&[0xC3, 0x28]);
+        assert!(matches!(r.string(2), Err(DecodeError::Invalid(_))));
+        assert_eq!(Reader::new(&[1, 2, 3]).u32(), Err(DecodeError::Truncated));
     }
 
     #[test]

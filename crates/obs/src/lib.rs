@@ -15,8 +15,10 @@
 //! - a dependency-free JSON [`parser`](json::Json::parse) used by tests
 //!   and the CI schema check to validate hand-formatted output such as
 //!   the Chrome `trace_event` export;
-//! - a binary [`Telemetry`] codec so a node can ship its snapshot to a
-//!   collector inside the existing CRC-framed transport;
+//! - the binary [`codec`]: the one byte [`Reader`] and string writer
+//!   ([`put_str`]) every Tempest format shares, and the [`Telemetry`]
+//!   record a node ships its snapshot in, inside the existing
+//!   CRC-framed transport;
 //! - a [`flight recorder`](flight): a bounded structured event ring
 //!   recording pipeline state transitions, dumped to `flight.json` on
 //!   panic or degradation for `tempest doctor` to triage.
@@ -33,7 +35,9 @@ pub mod json;
 pub mod registry;
 pub mod span;
 
-pub use codec::{decode_telemetry, encode_telemetry, unix_now_ns, Telemetry};
+pub use codec::{
+    decode_telemetry, encode_telemetry, put_str, unix_now_ns, DecodeError, Reader, Telemetry,
+};
 pub use export::{human_bytes, human_count, human_ns, to_human, to_json, to_prometheus};
 pub use flight::{FlightEvent, FlightLevel, FlightRecorder};
 pub use json::{escape, Json, JsonError};

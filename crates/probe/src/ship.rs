@@ -18,8 +18,10 @@
 //!   ([`spool::FRAME_SHIPPED2`]), is what makes resume idempotent — an
 //!   ACK lost to a reset can only cause a re-send, which recovery
 //!   discards by cursor.
-//! * `DATA` carries one spool frame tagged with its source cursor; the
-//!   server answers `ACK` (next expected cursor) or `ERR`. `PING`/`PONG`
+//! * `DATA` carries one spool frame in the [`spool::FRAME_SHIPPED2`]
+//!   layout with a zero collect stamp; the server writes its receive time
+//!   into that stamp and stores the payload as it is. It answers `ACK`
+//!   (next expected cursor) or `ERR`. `PING`/`PONG`
 //!   keep an idle follow-mode connection alive; `BYE`/`BYE_ACK` end a
 //!   session after its footer frame shipped.
 //!
@@ -34,14 +36,15 @@
 //! even a restarted shipper process resumes cheaply.
 
 use crate::spool::{
-    self, frame_crc, list_segment_files, parse_segment_frames, FLIGHT_DUMP_NAME, FRAME_FOOTER,
-    FRAME_HEADER_LEN, FRAME_NODE, SHIP_CURSOR_NAME,
+    self, frame_crc, list_segment_files, parse_segment_frames, shipped2_payload, Payload,
+    FLIGHT_DUMP_NAME, FRAME_FOOTER, FRAME_HEADER_LEN, FRAME_NODE, SHIP_CURSOR_NAME,
 };
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use tempest_obs::{put_str, Reader};
 
 // ---- wire protocol ---------------------------------------------------------
 
@@ -49,15 +52,17 @@ use std::time::{Duration, Instant};
 pub const SHIP_MAGIC: &[u8; 8] = b"TMPSHIP1";
 /// Protocol version carried in HELLO. v2 added the origin timestamp to
 /// DATA payloads (end-to-end frame tracing) and the METRICS message
-/// (shipped self-telemetry); the collector requires an exact match, so
-/// v1 shippers are refused rather than silently mis-parsed.
-pub const SHIP_VERSION: u32 = 2;
+/// (shipped self-telemetry); v3 sends DATA in the stored
+/// [`spool::FRAME_SHIPPED2`] layout. The collector requires an exact
+/// match, so older shippers are refused rather than silently mis-parsed.
+pub const SHIP_VERSION: u32 = 3;
 
 /// Client → server: node identity and session name.
 pub const MSG_HELLO: u8 = 1;
 /// Server → client: resume cursor (next expected `(segment, offset)`).
 pub const MSG_WELCOME: u8 = 2;
-/// Client → server: one spool frame wrapped with its source cursor.
+/// Client → server: one spool frame as a [`spool::FRAME_SHIPPED2`]
+/// payload (source cursor, origin stamp, collect stamp 0, frame).
 pub const MSG_DATA: u8 = 3;
 /// Server → client: durable through the carried next-expected cursor.
 pub const MSG_ACK: u8 = 4;
@@ -76,46 +81,6 @@ pub const MSG_ERR: u8 = 9;
 /// carrying the unchanged cursor — telemetry rides the session but never
 /// moves the data cursor.
 pub const MSG_METRICS: u8 = 10;
-
-/// Length of the v2 DATA prefix: source cursor (two u64), origin
-/// timestamp (u64, wall-clock Unix nanoseconds at send time), inner
-/// frame kind.
-pub const DATA_PREFIX_LEN: usize = 8 + 8 + 8 + 1;
-
-/// Build a v2 DATA payload: `seg | off | origin_ns | kind | payload`.
-/// The origin stamp is what the collector pairs with its own receive
-/// time to measure per-frame transit latency.
-pub fn data_payload(
-    seg: u64,
-    off: u64,
-    origin_unix_ns: u64,
-    inner_kind: u8,
-    inner_payload: &[u8],
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(DATA_PREFIX_LEN + inner_payload.len());
-    out.extend_from_slice(&seg.to_le_bytes());
-    out.extend_from_slice(&off.to_le_bytes());
-    out.extend_from_slice(&origin_unix_ns.to_le_bytes());
-    out.push(inner_kind);
-    out.extend_from_slice(inner_payload);
-    out
-}
-
-/// Decoded v2 DATA payload: source cursor `(seg, off)`, origin
-/// timestamp, inner frame kind, inner payload.
-pub type DecodedData<'a> = ((u64, u64), u64, u8, &'a [u8]);
-
-/// Split a v2 DATA payload back into
-/// `((seg, off), origin_unix_ns, kind, payload)`; `None` if too short.
-pub fn decode_data(payload: &[u8]) -> Option<DecodedData<'_>> {
-    if payload.len() < DATA_PREFIX_LEN {
-        return None;
-    }
-    let seg = u64::from_le_bytes(payload[0..8].try_into().unwrap());
-    let off = u64::from_le_bytes(payload[8..16].try_into().unwrap());
-    let origin = u64::from_le_bytes(payload[16..24].try_into().unwrap());
-    Some(((seg, off), origin, payload[24], &payload[DATA_PREFIX_LEN..]))
-}
 
 /// ERR code: frame exceeds the collector's size limit.
 pub const ERR_TOO_BIG: u8 = 1;
@@ -139,37 +104,61 @@ pub const MAX_WIRE_LEN: u32 = 64 * 1024 * 1024;
 /// Write one wire message: `kind | len | crc | payload`, CRC-32 over
 /// `kind || len || payload` exactly like spool frames.
 pub fn write_msg(w: &mut impl Write, kind: u8, payload: &[u8]) -> io::Result<()> {
-    let mut head = [0u8; FRAME_HEADER_LEN];
-    head[0] = kind;
-    head[1..5].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    head[5..9].copy_from_slice(&frame_crc(kind, payload).to_le_bytes());
-    w.write_all(&head)?;
+    w.write_all(&spool::frame_header(kind, payload))?;
     w.write_all(payload)?;
     w.flush()
 }
 
-/// Read one wire message, enforcing `max_len` before allocating and
-/// verifying the checksum after. Every failure is an `io::Error` — the
-/// caller's uniform answer is to drop the connection.
-pub fn read_msg(r: &mut impl Read, max_len: u32) -> io::Result<(u8, Vec<u8>)> {
+/// Why [`read_msg`] returned no message. It converts into an
+/// `io::Error`, so a caller whose one answer is to drop the connection
+/// can use `?`.
+#[derive(Debug)]
+pub enum WireError {
+    /// The stream ended before the next message header.
+    Eof,
+    /// The header claimed a payload of this many bytes, over the limit;
+    /// none of it was read.
+    TooBig(u32),
+    /// The payload failed its checksum; its bytes are kept for quarantine.
+    Checksum(Vec<u8>),
+    /// Any other read failure: a timeout, a reset, a cut mid-message.
+    Io(io::Error),
+}
+
+impl From<WireError> for io::Error {
+    fn from(e: WireError) -> io::Error {
+        match e {
+            WireError::Eof => io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed"),
+            WireError::TooBig(len) => io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("wire message of {len} bytes exceeds limit"),
+            ),
+            WireError::Checksum(_) => {
+                io::Error::new(io::ErrorKind::InvalidData, "wire message failed checksum")
+            }
+            WireError::Io(e) => e,
+        }
+    }
+}
+
+/// Read one wire message, enforcing `max_len` (capped at
+/// [`MAX_WIRE_LEN`]) before allocating and verifying the checksum after.
+pub fn read_msg(r: &mut impl Read, max_len: u32) -> Result<(u8, Vec<u8>), WireError> {
     let mut head = [0u8; FRAME_HEADER_LEN];
-    r.read_exact(&mut head)?;
+    r.read_exact(&mut head).map_err(|e| match e.kind() {
+        io::ErrorKind::UnexpectedEof => WireError::Eof,
+        _ => WireError::Io(e),
+    })?;
     let kind = head[0];
     let len = u32::from_le_bytes(head[1..5].try_into().unwrap());
     let crc = u32::from_le_bytes(head[5..9].try_into().unwrap());
     if len > max_len.min(MAX_WIRE_LEN) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("wire message of {len} bytes exceeds limit"),
-        ));
+        return Err(WireError::TooBig(len));
     }
     let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    r.read_exact(&mut payload).map_err(WireError::Io)?;
     if frame_crc(kind, &payload) != crc {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "wire message failed checksum",
-        ));
+        return Err(WireError::Checksum(payload));
     }
     Ok((kind, payload))
 }
@@ -199,12 +188,10 @@ impl Cursor {
 
     /// Decode the wire encoding; `None` if the buffer is short.
     pub fn decode(b: &[u8]) -> Option<Cursor> {
-        if b.len() < 16 {
-            return None;
-        }
+        let mut r = Reader::new(b);
         Some(Cursor {
-            seg: u64::from_le_bytes(b[0..8].try_into().unwrap()),
-            off: u64::from_le_bytes(b[8..16].try_into().unwrap()),
+            seg: r.u64().ok()?,
+            off: r.u64().ok()?,
         })
     }
 
@@ -256,37 +243,23 @@ pub fn encode_hello(h: &Hello) -> Vec<u8> {
     let mut b = Vec::new();
     b.extend_from_slice(&h.version.to_le_bytes());
     b.extend_from_slice(&h.node_id.to_le_bytes());
-    for s in [&h.session, &h.hostname] {
-        let bytes = s.as_bytes();
-        let len = bytes.len().min(u16::MAX as usize);
-        b.extend_from_slice(&(len as u16).to_le_bytes());
-        b.extend_from_slice(&bytes[..len]);
-    }
+    put_str(&mut b, &h.session, u16::MAX);
+    put_str(&mut b, &h.hostname, u16::MAX);
     b
 }
 
 /// Decode a HELLO payload; `None` on any truncation or bad UTF-8.
 pub fn decode_hello(p: &[u8]) -> Option<Hello> {
-    let mut pos = 0usize;
-    let take = |pos: &mut usize, n: usize| -> Option<&[u8]> {
-        let s = p.get(*pos..*pos + n)?;
-        *pos += n;
-        Some(s)
+    let mut r = Reader::new(p);
+    let string = |r: &mut Reader<'_>| {
+        let len = r.u16().ok()?;
+        r.string(len as usize).ok()
     };
-    let version = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
-    let node_id = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
-    let mut strs = Vec::with_capacity(2);
-    for _ in 0..2 {
-        let len = u16::from_le_bytes(take(&mut pos, 2)?.try_into().unwrap()) as usize;
-        strs.push(String::from_utf8(take(&mut pos, len)?.to_vec()).ok()?);
-    }
-    let hostname = strs.pop()?;
-    let session = strs.pop()?;
     Some(Hello {
-        version,
-        node_id,
-        session,
-        hostname,
+        version: r.u32().ok()?,
+        node_id: r.u32().ok()?,
+        session: string(&mut r)?,
+        hostname: string(&mut r)?,
     })
 }
 
@@ -613,13 +586,10 @@ fn spool_identity(dir: &Path) -> (u32, String) {
                 continue;
             };
             let (frames, _) = parse_segment_frames(&bytes);
-            for f in frames {
-                if f.kind == FRAME_NODE {
-                    if let Ok(node) =
-                        spool::decode_node(f.payload, &crate::limits::DecodeLimits::default())
-                    {
-                        return (node.node_id, node.hostname);
-                    }
+            for f in frames.iter().filter(|f| f.kind == FRAME_NODE) {
+                let limits = crate::limits::DecodeLimits::default();
+                if let Ok(Payload::Node(node)) = spool::decode_payload(f.kind, f.payload, &limits) {
+                    return (node.node_id, node.hostname);
                 }
             }
         }
@@ -769,7 +739,6 @@ fn ship_available(
     metrics: &ShipMetrics,
 ) -> io::Result<(bool, bool)> {
     let mut shipped_any = false;
-    let mut scratch = Vec::new();
     for (seq, path) in list_segment_files(&config.dir)? {
         if seq < cursor.seg {
             continue;
@@ -799,18 +768,13 @@ fn ship_available(
                 }
                 continue;
             }
-            scratch.clear();
-            scratch.extend_from_slice(&data_payload(
-                seq,
-                f.offset,
-                tempest_obs::unix_now_ns(),
-                f.kind,
-                f.payload,
-            ));
-            write_msg(stream, MSG_DATA, &scratch)?;
+            // The collector fills in the collect stamp on receipt.
+            let origin = tempest_obs::unix_now_ns();
+            let data = shipped2_payload(seq, f.offset, origin, 0, f.kind, f.payload);
+            write_msg(stream, MSG_DATA, &data)?;
             report.frames_sent += 1;
             metrics.frames_sent.inc();
-            metrics.bytes.add(scratch.len() as u64);
+            metrics.bytes.add(data.len() as u64);
             match read_msg(stream, MAX_WIRE_LEN)? {
                 (MSG_ACK, p) => {
                     let next = Cursor::decode(&p).ok_or_else(|| proto_err("short ACK".into()))?;
@@ -852,19 +816,38 @@ mod tests {
         assert_eq!(kind, MSG_DATA);
         assert_eq!(payload, b"hello frames");
 
-        // A flipped payload bit fails the checksum.
+        // A flipped payload bit fails the checksum; the bytes come back
+        // for quarantine.
         let mut bad = buf.clone();
         let n = bad.len();
         bad[n - 1] ^= 0x01;
-        assert!(read_msg(&mut &bad[..], MAX_WIRE_LEN).is_err());
+        assert!(matches!(
+            read_msg(&mut &bad[..], MAX_WIRE_LEN),
+            Err(WireError::Checksum(p)) if p.len() == 12
+        ));
 
         // A length beyond the limit is rejected before allocation.
         let mut huge = buf.clone();
         huge[1..5].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(read_msg(&mut &huge[..], MAX_WIRE_LEN).is_err());
+        assert!(matches!(
+            read_msg(&mut &huge[..], MAX_WIRE_LEN),
+            Err(WireError::TooBig(u32::MAX))
+        ));
+        assert!(matches!(
+            read_msg(&mut &buf[..], 4),
+            Err(WireError::TooBig(12))
+        ));
 
-        // Truncation mid-payload is an error, not a hang or panic.
-        assert!(read_msg(&mut &buf[..buf.len() - 3], MAX_WIRE_LEN).is_err());
+        // Truncation mid-payload is an error, not a hang or panic; a
+        // stream that ends between messages is end of stream.
+        assert!(matches!(
+            read_msg(&mut &buf[..buf.len() - 3], MAX_WIRE_LEN),
+            Err(WireError::Io(_))
+        ));
+        assert!(matches!(
+            read_msg(&mut &[][..], MAX_WIRE_LEN),
+            Err(WireError::Eof)
+        ));
     }
 
     #[test]

@@ -23,8 +23,8 @@
 use crate::buffer::{ChannelSink, EventSink, OverflowPolicy};
 use crate::event::{Event, EventKind, ThreadId};
 use crate::func::{FunctionDef, FunctionId, FunctionRegistry, ScopeKind};
-use crate::limits::{CancelToken, DecodeLimits, LimitExceeded};
-use crate::trace::{NodeMeta, SalvageReport, SensorMeta, Trace, TraceError, TraceSection};
+use crate::limits::{CancelToken, DecodeLimits, LimitExceeded, ResourceBudget};
+use crate::trace::{self, NodeMeta, SalvageReport, Trace, TraceError, TraceSection};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -32,6 +32,7 @@ use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use tempest_obs::Reader;
 use tempest_sensors::SensorId;
 
 /// Magic prefix of every segment file.
@@ -108,16 +109,25 @@ const fn crc32_table() -> [u32; 256] {
 
 static CRC_TABLE: [u32; 256] = crc32_table();
 
-/// Running CRC-32 state; feed slices, then [`Crc32::finish`].
+/// Running CRC-32 state; feed slices, then [`Crc32::finish`]. Feeding a
+/// buffer in pieces gives the same checksum as [`crc32`] over the whole.
 #[derive(Clone, Copy)]
-struct Crc32(u32);
+pub struct Crc32(u32);
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
 
 impl Crc32 {
-    fn new() -> Self {
+    /// The state before any byte.
+    pub fn new() -> Self {
         Crc32(0xFFFF_FFFF)
     }
 
-    fn update(&mut self, bytes: &[u8]) {
+    /// Feed the next bytes.
+    pub fn update(&mut self, bytes: &[u8]) {
         let mut c = self.0;
         for &b in bytes {
             c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
@@ -125,7 +135,8 @@ impl Crc32 {
         self.0 = c;
     }
 
-    fn finish(self) -> u32 {
+    /// The checksum of everything fed so far.
+    pub fn finish(self) -> u32 {
         self.0 ^ 0xFFFF_FFFF
     }
 }
@@ -147,13 +158,21 @@ pub fn frame_crc(kind: u8, payload: &[u8]) -> u32 {
     c.finish()
 }
 
+/// The header of a frame holding `payload`: kind, length, checksum. Spool
+/// frames and ship wire messages share it.
+pub fn frame_header(kind: u8, payload: &[u8]) -> [u8; FRAME_HEADER_LEN] {
+    let mut head = [0u8; FRAME_HEADER_LEN];
+    head[0] = kind;
+    head[1..5].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    head[5..9].copy_from_slice(&frame_crc(kind, payload).to_le_bytes());
+    head
+}
+
 /// Append one encoded frame (header + payload) to `buf`. This is the
 /// exact byte layout [`SpoolWriter`] produces; the collector daemon uses
 /// it to write received frames back out as standard spool segments.
 pub fn encode_frame_into(buf: &mut Vec<u8>, kind: u8, payload: &[u8]) {
-    buf.push(kind);
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&frame_crc(kind, payload).to_le_bytes());
+    buf.extend_from_slice(&frame_header(kind, payload));
     buf.extend_from_slice(payload);
 }
 
@@ -397,15 +416,13 @@ impl SpoolWriter {
         self.out.write_all(&self.seq.to_le_bytes())?;
         self.bytes_in_segment = SEGMENT_HEADER_LEN as u64;
         self.total_bytes += SEGMENT_HEADER_LEN as u64;
-        let node = encode_node(&self.node);
+        let mut node = Vec::new();
+        trace::encode_node(&mut node, &self.node);
         self.write_frame(FRAME_NODE, &node)
     }
 
     fn write_frame(&mut self, kind: u8, payload: &[u8]) -> io::Result<()> {
-        let crc = frame_crc(kind, payload);
-        self.out.write_all(&[kind])?;
-        self.out.write_all(&(payload.len() as u32).to_le_bytes())?;
-        self.out.write_all(&crc.to_le_bytes())?;
+        self.out.write_all(&frame_header(kind, payload))?;
         self.out.write_all(payload)?;
         let n = (FRAME_HEADER_LEN + payload.len()) as u64;
         self.bytes_in_segment += n;
@@ -413,6 +430,15 @@ impl SpoolWriter {
         self.metrics.frames.inc();
         self.metrics.bytes.add(n);
         Ok(())
+    }
+
+    fn write_symbols(&mut self, functions: &[FunctionDef]) -> io::Result<()> {
+        if functions.is_empty() {
+            return Ok(());
+        }
+        let mut payload = Vec::new();
+        trace::encode_symbols(&mut payload, functions);
+        self.write_frame(FRAME_SYMBOLS, &payload)
     }
 
     fn sync(&mut self) -> io::Result<()> {
@@ -627,10 +653,7 @@ impl SpoolWriter {
     /// every sealed segment decodable with real names even if the process
     /// dies before the footer.
     pub fn rotate(&mut self, functions: &[FunctionDef]) -> io::Result<()> {
-        if !functions.is_empty() {
-            let payload = encode_symbols(functions);
-            self.write_frame(FRAME_SYMBOLS, &payload)?;
-        }
+        self.write_symbols(functions)?;
         self.seal_segment()?;
         self.seq += 1;
         self.open_segment()?;
@@ -684,10 +707,7 @@ impl SpoolWriter {
         // footer carries the session's closing totals.
         self.append_telemetry_now();
         let seal = (|| -> io::Result<()> {
-            if !functions.is_empty() {
-                let payload = encode_symbols(functions);
-                self.write_frame(FRAME_SYMBOLS, &payload)?;
-            }
+            self.write_symbols(functions)?;
             let mut footer = [0u8; FOOTER_LEN];
             footer[0..8].copy_from_slice(&self.events_written.to_le_bytes());
             footer[8..16].copy_from_slice(&self.samples_written.to_le_bytes());
@@ -870,98 +890,7 @@ fn sync_dir(dir: &Path) {
     }
 }
 
-// ---- payload encoding ------------------------------------------------------
-
-fn push_str(buf: &mut Vec<u8>, s: &str) {
-    let bytes = s.as_bytes();
-    let len = bytes.len().min(u16::MAX as usize);
-    buf.extend_from_slice(&(len as u16).to_le_bytes());
-    buf.extend_from_slice(&bytes[..len]);
-}
-
-fn encode_node(node: &NodeMeta) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(&node.node_id.to_le_bytes());
-    push_str(&mut buf, &node.hostname);
-    buf.extend_from_slice(&(node.sensors.len() as u16).to_le_bytes());
-    for s in &node.sensors {
-        buf.extend_from_slice(&s.id.0.to_le_bytes());
-        buf.push(crate::trace::encode_sensor_kind(s.kind));
-        push_str(&mut buf, &s.label);
-    }
-    buf
-}
-
-fn encode_symbols(functions: &[FunctionDef]) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(&(functions.len() as u32).to_le_bytes());
-    for f in functions {
-        buf.extend_from_slice(&f.id.0.to_le_bytes());
-        buf.extend_from_slice(&f.address.to_le_bytes());
-        buf.push(match f.kind {
-            ScopeKind::Function => 0,
-            ScopeKind::Block => 1,
-        });
-        push_str(&mut buf, &f.name);
-    }
-    buf
-}
-
 // ---- payload decoding ------------------------------------------------------
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        if self.buf.len() - self.pos < n {
-            return None;
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Some(out)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
-    }
-
-    fn u16(&mut self) -> Option<u16> {
-        self.take(2)
-            .map(|b| u16::from_le_bytes(b.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// A length-prefixed string whose claimed length is checked against
-    /// the limit *before* any bytes are touched.
-    fn str(&mut self, limits: &DecodeLimits, what: &'static str) -> Result<String, FrameFail> {
-        let len = self.u16().ok_or(FrameFail::Corrupt)? as usize;
-        limits.check_string(what, len)?;
-        let bytes = self.take(len).ok_or(FrameFail::Corrupt)?;
-        std::str::from_utf8(bytes)
-            .map(str::to_owned)
-            .map_err(|_| FrameFail::Corrupt)
-    }
-}
 
 /// Why a checksum-valid frame still failed to decode: structural damage
 /// (discard the frame, keep scanning) versus a resource-limit overrun
@@ -975,9 +904,12 @@ pub(crate) enum FrameFail {
     Limit(LimitExceeded),
 }
 
-impl From<LimitExceeded> for FrameFail {
-    fn from(e: LimitExceeded) -> Self {
-        FrameFail::Limit(e)
+impl From<TraceError> for FrameFail {
+    fn from(e: TraceError) -> Self {
+        match e {
+            TraceError::Limit(e) => FrameFail::Limit(e),
+            _ => FrameFail::Corrupt,
+        }
     }
 }
 
@@ -1017,61 +949,62 @@ fn decode_events(payload: &[u8]) -> Option<Vec<Event>> {
     Some(out)
 }
 
-/// Minimum encoded size of one symbol entry: id + address + kind + empty
-/// name. Bounds how many entries a payload of a given size can hold.
-const SYMBOL_ENTRY_MIN_LEN: usize = 4 + 8 + 1 + 2;
-/// Minimum encoded size of one sensor entry: id + kind + empty label.
-const SENSOR_ENTRY_MIN_LEN: usize = 2 + 1 + 2;
-
-fn decode_symbols(payload: &[u8], limits: &DecodeLimits) -> Result<Vec<FunctionDef>, FrameFail> {
-    let mut r = Reader::new(payload);
-    let count = r.u32().ok_or(FrameFail::Corrupt)? as usize;
-    limits.check_count("symbols", count as u64, limits.max_functions as u64)?;
-    // The declared count never drives the reservation directly: clamp to
-    // what the payload bytes can actually hold.
-    let mut out =
-        Vec::with_capacity(limits.clamp_prealloc(count, r.remaining(), SYMBOL_ENTRY_MIN_LEN));
-    for _ in 0..count {
-        let id = FunctionId(r.u32().ok_or(FrameFail::Corrupt)?);
-        let address = r.u64().ok_or(FrameFail::Corrupt)?;
-        let kind = match r.u8().ok_or(FrameFail::Corrupt)? {
-            0 => ScopeKind::Function,
-            1 => ScopeKind::Block,
-            _ => return Err(FrameFail::Corrupt),
-        };
-        let name = r.str(limits, "symbol name")?;
-        out.push(FunctionDef {
-            id,
-            name,
-            address,
-            kind,
-        });
-    }
-    Ok(out)
+/// One checksum-valid frame's payload, decoded by kind.
+pub(crate) enum Payload {
+    /// A batch of events and samples.
+    Events(Vec<Event>),
+    /// A symbol-table snapshot.
+    Symbols(Vec<FunctionDef>),
+    /// Node metadata.
+    Node(NodeMeta),
+    /// The session footer's four counters.
+    Footer([u64; 4]),
+    /// A telemetry snapshot that decoded cleanly.
+    Metrics,
+    /// A kind this revision does not know: written by a newer one.
+    Unknown,
 }
 
-pub(crate) fn decode_node(payload: &[u8], limits: &DecodeLimits) -> Result<NodeMeta, FrameFail> {
+/// Decode one frame payload by kind under `limits`: the one per-kind
+/// check that recovery, `fsck` and the shipper's identity scan share.
+pub(crate) fn decode_payload(
+    kind: u8,
+    payload: &[u8],
+    limits: &DecodeLimits,
+) -> Result<Payload, FrameFail> {
+    // Spool header frames are not metered per entry: a frame's size
+    // bounds what it can hold, and recovery meters the event stream.
+    let unmetered = ResourceBudget::unlimited();
     let mut r = Reader::new(payload);
-    let node_id = r.u32().ok_or(FrameFail::Corrupt)?;
-    let hostname = r.str(limits, "hostname")?;
-    let nsensors = r.u16().ok_or(FrameFail::Corrupt)? as usize;
-    limits.check_count("sensors", nsensors as u64, limits.max_sensors as u64)?;
-    // An untrusted count must not size the allocation (this exact line
-    // used to be `Vec::with_capacity(nsensors)` — a 64 KiB payload could
-    // claim 65535 sensors and reserve for all of them upfront).
-    let mut sensors =
-        Vec::with_capacity(limits.clamp_prealloc(nsensors, r.remaining(), SENSOR_ENTRY_MIN_LEN));
-    for _ in 0..nsensors {
-        let id = SensorId(r.u16().ok_or(FrameFail::Corrupt)?);
-        let kind = crate::trace::decode_sensor_kind(r.u8().ok_or(FrameFail::Corrupt)?)
-            .map_err(|_| FrameFail::Corrupt)?;
-        let label = r.str(limits, "sensor label")?;
-        sensors.push(SensorMeta { id, label, kind });
-    }
-    Ok(NodeMeta {
-        node_id,
-        hostname,
-        sensors,
+    Ok(match kind {
+        FRAME_EVENTS => Payload::Events(decode_events(payload).ok_or(FrameFail::Corrupt)?),
+        FRAME_SYMBOLS => {
+            let mut functions = Vec::new();
+            let never = CancelToken::default();
+            trace::decode_symbols(
+                &mut r,
+                &mut functions,
+                "symbols",
+                limits,
+                &unmetered,
+                &never,
+            )?;
+            Payload::Symbols(functions)
+        }
+        FRAME_NODE => {
+            let mut node = NodeMeta::anonymous();
+            trace::decode_node(&mut r, &mut node, limits, &unmetered)?;
+            Payload::Node(node)
+        }
+        FRAME_FOOTER if payload.len() == FOOTER_LEN => Payload::Footer(std::array::from_fn(|i| {
+            u64::from_le_bytes(payload[i * 8..i * 8 + 8].try_into().unwrap())
+        })),
+        FRAME_FOOTER => return Err(FrameFail::Corrupt),
+        FRAME_METRICS => {
+            tempest_obs::decode_telemetry(payload).ok_or(FrameFail::Corrupt)?;
+            Payload::Metrics
+        }
+        _ => Payload::Unknown,
     })
 }
 
@@ -1275,6 +1208,13 @@ pub fn shipped2_payload(
     out
 }
 
+/// Write the collector's receive time into a [`FRAME_SHIPPED2`] payload's
+/// collect stamp, in place. The shipper sends the stamp as 0; the payload
+/// must have passed [`unwrap_frame`], which checks it is long enough.
+pub fn set_collect_stamp(payload: &mut [u8], collect_unix_ns: u64) {
+    payload[24..32].copy_from_slice(&collect_unix_ns.to_le_bytes());
+}
+
 /// A frame with its [`FRAME_SHIPPED2`] envelope, if it had one, taken off.
 #[derive(Debug, Clone, Copy)]
 pub struct FrameBody<'a> {
@@ -1407,70 +1347,48 @@ pub fn recover_with(
                 report.shipped_through = Some(cursor);
                 report.frame_traces.push(trace);
             }
-            let decoded = match kind {
-                FRAME_EVENTS => match decode_events(payload) {
-                    Some(events) => {
-                        // The accumulated mixed stream is the one spot a
-                        // many-segment spool can grow without bound —
-                        // meter it against the byte budget.
-                        if let Err(e) = budget.charge(
-                            "spool events",
-                            (events.len() * std::mem::size_of::<Event>()) as u64,
-                        ) {
-                            limit_hit = Some(e);
-                            break 'scan;
-                        }
-                        mixed.extend_from_slice(&events);
-                        true
-                    }
-                    None => false,
-                },
-                FRAME_SYMBOLS => match decode_symbols(payload, limits) {
-                    Ok(syms) => {
-                        // Later snapshots supersede earlier ones: the
-                        // registry only grows, so the newest is a superset.
-                        functions = syms;
-                        true
-                    }
-                    Err(FrameFail::Limit(e)) => {
+            let decoded = match decode_payload(kind, payload, limits) {
+                Ok(Payload::Events(events)) => {
+                    // The accumulated mixed stream is the one spot a
+                    // many-segment spool can grow without bound — meter
+                    // it against the byte budget.
+                    if let Err(e) = budget.charge(
+                        "spool events",
+                        (events.len() * std::mem::size_of::<Event>()) as u64,
+                    ) {
                         limit_hit = Some(e);
                         break 'scan;
                     }
-                    Err(FrameFail::Corrupt) => false,
-                },
-                FRAME_NODE => match decode_node(payload, limits) {
-                    Ok(n) => {
-                        if node.is_none() {
-                            node = Some(n);
-                        }
-                        true
-                    }
-                    Err(FrameFail::Limit(e)) => {
-                        limit_hit = Some(e);
-                        break 'scan;
-                    }
-                    Err(FrameFail::Corrupt) => false,
-                },
-                FRAME_FOOTER if payload.len() == FOOTER_LEN => {
-                    let mut vals = [0u64; 4];
-                    for (i, v) in vals.iter_mut().enumerate() {
-                        *v = u64::from_le_bytes(payload[i * 8..i * 8 + 8].try_into().unwrap());
-                    }
+                    mixed.extend_from_slice(&events);
+                    true
+                }
+                // Later snapshots supersede earlier ones: the registry
+                // only grows, so the newest is a superset.
+                Ok(Payload::Symbols(syms)) => {
+                    functions = syms;
+                    true
+                }
+                Ok(Payload::Node(n)) => {
+                    node.get_or_insert(n);
+                    true
+                }
+                Ok(Payload::Footer(vals)) => {
                     footer = Some(vals);
                     true
                 }
                 // Self-telemetry snapshots are verified and counted but
                 // not folded into the trace; `tempest fleet` reads them.
-                FRAME_METRICS => match tempest_obs::decode_telemetry(payload) {
-                    Some(_) => {
-                        report.telemetry_frames += 1;
-                        true
-                    }
-                    None => false,
-                },
+                Ok(Payload::Metrics) => {
+                    report.telemetry_frames += 1;
+                    true
+                }
                 // Unknown kind with a valid checksum: written by a newer
                 // format revision; skip it rather than distrust the rest.
-                _ => false,
+                Ok(Payload::Unknown) | Err(FrameFail::Corrupt) => false,
+                Err(FrameFail::Limit(e)) => {
+                    limit_hit = Some(e);
+                    break 'scan;
+                }
             };
             if decoded {
                 report.frames_recovered += 1;
@@ -1594,20 +1512,10 @@ pub fn fsck_dir(dir: &Path, limits: &DecodeLimits) -> io::Result<Vec<SegmentFsck
                 ));
                 continue;
             };
-            let verdict: Result<(), FrameFail> = match kind {
-                FRAME_EVENTS => decode_events(payload).map(drop).ok_or(FrameFail::Corrupt),
-                FRAME_SYMBOLS => decode_symbols(payload, limits).map(drop),
-                FRAME_NODE => decode_node(payload, limits).map(drop),
-                FRAME_FOOTER if payload.len() == FOOTER_LEN => Ok(()),
-                FRAME_FOOTER => Err(FrameFail::Corrupt),
-                FRAME_METRICS => tempest_obs::decode_telemetry(payload)
-                    .map(drop)
-                    .ok_or(FrameFail::Corrupt),
-                // Unknown kinds are forward-compatibility, not damage.
-                _ => Ok(()),
-            };
+            // Unknown kinds are forward-compatibility, not damage.
+            let verdict = decode_payload(kind, payload, limits);
             match verdict {
-                Ok(()) => fsck.frames_ok += 1,
+                Ok(_) => fsck.frames_ok += 1,
                 Err(FrameFail::Corrupt) => fsck.violations.push(format!(
                     "frame @{} kind {}: checksum ok but payload undecodable",
                     frame.offset, kind
@@ -1800,6 +1708,7 @@ impl EventSink for SpoolSink {
 mod tests {
     use super::*;
     use crate::func::FunctionId;
+    use crate::trace::SensorMeta;
     use std::sync::atomic::AtomicU32;
 
     static DIR_SERIAL: AtomicU32 = AtomicU32::new(0);
@@ -1888,11 +1797,11 @@ mod tests {
         // Node frame claiming 65535 sensors over an empty remainder.
         let mut payload = Vec::new();
         payload.extend_from_slice(&1u32.to_le_bytes());
-        push_str(&mut payload, "evil");
+        tempest_obs::put_str(&mut payload, "evil", u16::MAX);
         payload.extend_from_slice(&u16::MAX.to_le_bytes());
         // Under strict limits the cardinality cap trips...
         assert!(matches!(
-            decode_node(&payload, &DecodeLimits::strict()),
+            decode_payload(FRAME_NODE, &payload, &DecodeLimits::strict()),
             Err(FrameFail::Limit(_))
         ));
         // ...and under the generous defaults the claim passes the cap but
@@ -1900,7 +1809,7 @@ mod tests {
         // just fails structurally (no bytes back the claim) without any
         // count-sized reservation.
         assert!(matches!(
-            decode_node(&payload, &DecodeLimits::default()),
+            decode_payload(FRAME_NODE, &payload, &DecodeLimits::default()),
             Err(FrameFail::Corrupt)
         ));
     }

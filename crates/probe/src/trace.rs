@@ -10,9 +10,10 @@
 
 use crate::event::{Event, EventKind, ThreadId};
 use crate::func::{FunctionDef, FunctionId, ScopeKind};
-use crate::limits::{CancelToken, DecodeLimits, LimitExceeded};
+use crate::limits::{CancelToken, DecodeLimits, LimitExceeded, ResourceBudget};
 use std::io::{self, Read, Write};
 use std::path::Path;
+use tempest_obs::{put_str, DecodeError, Reader};
 use tempest_sensors::{SensorId, SensorKind, SensorReading, Temperature};
 
 /// Magic + version prefix of the binary format.
@@ -27,6 +28,11 @@ const SAMPLE_RECORD_LEN: usize = 2 + 8 + 8;
 /// decoded sensor / function entry, on top of the name bytes.
 const SENSOR_META_COST: usize = std::mem::size_of::<SensorMeta>();
 const FUNCTION_META_COST: usize = std::mem::size_of::<FunctionDef>();
+/// Minimum encoded size of one function entry: id + address + kind +
+/// empty name. Bounds how many entries a buffer of a given size can hold.
+const FUNCTION_ENTRY_MIN_LEN: usize = 4 + 8 + 1 + 2;
+/// Minimum encoded size of one sensor entry: id + kind + empty label.
+const SENSOR_ENTRY_MIN_LEN: usize = 2 + 1 + 2;
 
 /// Description of one sensor as recorded in the trace header.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,6 +117,20 @@ impl From<io::Error> for TraceError {
 impl From<LimitExceeded> for TraceError {
     fn from(e: LimitExceeded) -> Self {
         TraceError::Limit(e)
+    }
+}
+
+/// Truncation surfaces as the same `Io(UnexpectedEof)` a streaming
+/// reader would produce, so strict-mode callers see one error shape.
+impl From<DecodeError> for TraceError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Truncated => TraceError::Io(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "trace truncated mid-record",
+            )),
+            DecodeError::Invalid(what) => TraceError::Corrupt(what),
+        }
     }
 }
 
@@ -275,24 +295,8 @@ impl Trace {
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         buf.reserve(self.encoded_len());
         buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&self.node.node_id.to_le_bytes());
-        encode_str(buf, &self.node.hostname);
-        buf.extend_from_slice(&(self.node.sensors.len() as u16).to_le_bytes());
-        for s in &self.node.sensors {
-            buf.extend_from_slice(&s.id.0.to_le_bytes());
-            buf.push(encode_sensor_kind(s.kind));
-            encode_str(buf, &s.label);
-        }
-        buf.extend_from_slice(&(self.functions.len() as u32).to_le_bytes());
-        for f in &self.functions {
-            buf.extend_from_slice(&f.id.0.to_le_bytes());
-            buf.extend_from_slice(&f.address.to_le_bytes());
-            buf.push(match f.kind {
-                ScopeKind::Function => 0,
-                ScopeKind::Block => 1,
-            });
-            encode_str(buf, &f.name);
-        }
+        encode_node(buf, &self.node);
+        encode_symbols(buf, &self.functions);
         buf.extend_from_slice(&(self.events.len() as u64).to_le_bytes());
         for e in &self.events {
             // Gap markers reuse the func slot for the sensor id (tag 3).
@@ -399,8 +403,8 @@ impl Trace {
         limits: &DecodeLimits,
         cancel: &CancelToken,
     ) -> Result<(Trace, SalvageReport), TraceError> {
-        let mut cur = Cursor::new(bytes);
-        if cur.bytes(MAGIC.len())? != MAGIC {
+        let mut cur = Reader::new(bytes);
+        if cur.take(MAGIC.len())? != MAGIC {
             return Err(TraceError::BadMagic);
         }
 
@@ -418,41 +422,17 @@ impl Trace {
         // damaged record, every record decoded before it is already kept.
         let outcome: Result<(), TraceError> = (|| {
             cancel.check("trace decode")?;
-            trace.node.node_id = cur.u32()?;
-            trace.node.hostname = cur.str(limits, "hostname")?;
-            let sensor_count = cur.u16()? as usize;
-            limits.check_count("sensors", sensor_count as u64, limits.max_sensors as u64)?;
-            for _ in 0..sensor_count {
-                let id = SensorId(cur.u16()?);
-                let kind = decode_sensor_kind(cur.u8()?)?;
-                let label = cur.str(limits, "sensor label")?;
-                budget.charge("sensors", (label.len() + SENSOR_META_COST) as u64)?;
-                trace.node.sensors.push(SensorMeta { id, label, kind });
-            }
+            decode_node(&mut cur, &mut trace.node, limits, &budget)?;
             section = TraceSection::Functions;
             cancel.check("trace decode")?;
-            let fn_count = cur.u32()? as usize;
-            limits.check_count("functions", fn_count as u64, limits.max_functions as u64)?;
-            for i in 0..fn_count {
-                if i & 0xFFF == 0 {
-                    cancel.check("trace decode")?;
-                }
-                let id = FunctionId(cur.u32()?);
-                let address = cur.u64()?;
-                let kind = match cur.u8()? {
-                    0 => ScopeKind::Function,
-                    1 => ScopeKind::Block,
-                    _ => return Err(TraceError::Corrupt("bad scope kind")),
-                };
-                let name = cur.str(limits, "function name")?;
-                budget.charge("functions", (name.len() + FUNCTION_META_COST) as u64)?;
-                trace.functions.push(FunctionDef {
-                    id,
-                    name,
-                    address,
-                    kind,
-                });
-            }
+            decode_symbols(
+                &mut cur,
+                &mut trace.functions,
+                "functions",
+                limits,
+                &budget,
+                cancel,
+            )?;
             section = TraceSection::Events;
             cancel.check("trace decode")?;
             let ev_count = cur.u64()? as usize;
@@ -468,7 +448,7 @@ impl Trace {
                 if i & 0xFFF == 0 {
                     cancel.check("trace decode")?;
                 }
-                let rec = cur.bytes(EVENT_RECORD_LEN)?;
+                let rec = cur.take(EVENT_RECORD_LEN)?;
                 let tag = rec[0];
                 let thread = ThreadId(u32::from_le_bytes(rec[1..5].try_into().unwrap()));
                 let payload = u32::from_le_bytes(rec[5..9].try_into().unwrap());
@@ -507,7 +487,7 @@ impl Trace {
                 if i & 0xFFF == 0 {
                     cancel.check("trace decode")?;
                 }
-                let rec = cur.bytes(SAMPLE_RECORD_LEN)?;
+                let rec = cur.take(SAMPLE_RECORD_LEN)?;
                 let sensor = SensorId(u16::from_le_bytes(rec[0..2].try_into().unwrap()));
                 let ts = u64::from_le_bytes(rec[2..10].try_into().unwrap());
                 let bits = u64::from_le_bytes(rec[10..18].try_into().unwrap());
@@ -620,7 +600,7 @@ fn sibling_tmp_path(path: &Path) -> std::path::PathBuf {
     path.with_file_name(name)
 }
 
-pub(crate) fn encode_sensor_kind(k: SensorKind) -> u8 {
+fn encode_sensor_kind(k: SensorKind) -> u8 {
     match k {
         SensorKind::CpuCore => 0,
         SensorKind::CpuPackage => 1,
@@ -631,7 +611,7 @@ pub(crate) fn encode_sensor_kind(k: SensorKind) -> u8 {
     }
 }
 
-pub(crate) fn decode_sensor_kind(b: u8) -> Result<SensorKind, TraceError> {
+fn decode_sensor_kind(b: u8) -> Result<SensorKind, TraceError> {
     Ok(match b {
         0 => SensorKind::CpuCore,
         1 => SensorKind::CpuPackage,
@@ -643,69 +623,113 @@ pub(crate) fn decode_sensor_kind(b: u8) -> Result<SensorKind, TraceError> {
     })
 }
 
-fn encode_str(buf: &mut Vec<u8>, s: &str) {
-    let bytes = s.as_bytes();
-    let len = bytes.len().min(u16::MAX as usize);
-    buf.extend_from_slice(&(len as u16).to_le_bytes());
-    buf.extend_from_slice(&bytes[..len]);
+// ---- header codec ------------------------------------------------------
+//
+// A `.trace` opens with a node header and a function table; a spool's
+// NODE and SYMBOLS frames carry exactly the same bytes. These four
+// functions are the one codec for both.
+
+/// Append a node header: id, hostname, sensor inventory.
+pub(crate) fn encode_node(buf: &mut Vec<u8>, node: &NodeMeta) {
+    buf.extend_from_slice(&node.node_id.to_le_bytes());
+    put_str(buf, &node.hostname, u16::MAX);
+    buf.extend_from_slice(&(node.sensors.len() as u16).to_le_bytes());
+    for s in &node.sensors {
+        buf.extend_from_slice(&s.id.0.to_le_bytes());
+        buf.push(encode_sensor_kind(s.kind));
+        put_str(buf, &s.label, u16::MAX);
+    }
 }
 
-/// Zero-copy decode cursor over an in-memory trace image. Field reads are
-/// bounds-checked slices of the backing buffer; truncation surfaces as the
-/// same `TraceError::Io(UnexpectedEof)` a streaming reader would produce,
-/// so strict-mode callers see identical error shapes.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// Append a function table: count, then id, address, kind and name of
+/// each entry.
+pub(crate) fn encode_symbols(buf: &mut Vec<u8>, functions: &[FunctionDef]) {
+    buf.extend_from_slice(&(functions.len() as u32).to_le_bytes());
+    for f in functions {
+        buf.extend_from_slice(&f.id.0.to_le_bytes());
+        buf.extend_from_slice(&f.address.to_le_bytes());
+        buf.push(match f.kind {
+            ScopeKind::Function => 0,
+            ScopeKind::Block => 1,
+        });
+        put_str(buf, &f.name, u16::MAX);
+    }
 }
 
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
-    }
+/// A length-prefixed string whose claimed length is checked against the
+/// limit *before* any of its bytes are read.
+fn read_str(
+    r: &mut Reader<'_>,
+    limits: &DecodeLimits,
+    what: &'static str,
+) -> Result<String, TraceError> {
+    let len = r.u16()? as usize;
+    limits.check_string(what, len)?;
+    Ok(r.string(len)?)
+}
 
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+/// Decode a node header into `node` in place, so a caller that keeps
+/// partial results keeps every sensor decoded before a failure. Each
+/// sensor is charged to `budget`.
+pub(crate) fn decode_node(
+    r: &mut Reader<'_>,
+    node: &mut NodeMeta,
+    limits: &DecodeLimits,
+    budget: &ResourceBudget,
+) -> Result<(), TraceError> {
+    node.node_id = r.u32()?;
+    node.hostname = read_str(r, limits, "hostname")?;
+    let count = r.u16()? as usize;
+    limits.check_count("sensors", count as u64, limits.max_sensors as u64)?;
+    // An untrusted count never sizes the reservation directly: clamp to
+    // what the remaining bytes can actually hold.
+    node.sensors
+        .reserve(limits.clamp_prealloc(count, r.remaining(), SENSOR_ENTRY_MIN_LEN));
+    for _ in 0..count {
+        let id = SensorId(r.u16()?);
+        let kind = decode_sensor_kind(r.u8()?)?;
+        let label = read_str(r, limits, "sensor label")?;
+        budget.charge("sensors", (label.len() + SENSOR_META_COST) as u64)?;
+        node.sensors.push(SensorMeta { id, label, kind });
     }
+    Ok(())
+}
 
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], TraceError> {
-        if self.remaining() < n {
-            return Err(TraceError::Io(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "trace truncated mid-record",
-            )));
+/// Decode a function table onto `out` in place (partial results kept as
+/// in [`decode_node`]). `what` labels the declared-count and budget
+/// checks; `cancel` is checked every 4,096 entries.
+pub(crate) fn decode_symbols(
+    r: &mut Reader<'_>,
+    out: &mut Vec<FunctionDef>,
+    what: &'static str,
+    limits: &DecodeLimits,
+    budget: &ResourceBudget,
+    cancel: &CancelToken,
+) -> Result<(), TraceError> {
+    let count = r.u32()? as usize;
+    limits.check_count(what, count as u64, limits.max_functions as u64)?;
+    out.reserve(limits.clamp_prealloc(count, r.remaining(), FUNCTION_ENTRY_MIN_LEN));
+    for i in 0..count {
+        if i & 0xFFF == 0 {
+            cancel.check("trace decode")?;
         }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
+        let id = FunctionId(r.u32()?);
+        let address = r.u64()?;
+        let kind = match r.u8()? {
+            0 => ScopeKind::Function,
+            1 => ScopeKind::Block,
+            _ => return Err(TraceError::Corrupt("bad scope kind")),
+        };
+        let name = read_str(r, limits, "function name")?;
+        budget.charge(what, (name.len() + FUNCTION_META_COST) as u64)?;
+        out.push(FunctionDef {
+            id,
+            name,
+            address,
+            kind,
+        });
     }
-
-    fn u8(&mut self) -> Result<u8, TraceError> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, TraceError> {
-        Ok(u16::from_le_bytes(self.bytes(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, TraceError> {
-        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, TraceError> {
-        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
-    }
-
-    /// Decode a length-prefixed string, rejecting claims over the
-    /// configured cap *before* materialising anything.
-    fn str(&mut self, limits: &DecodeLimits, what: &'static str) -> Result<String, TraceError> {
-        let len = self.u16()? as usize;
-        limits.check_string(what, len)?;
-        let bytes = self.bytes(len)?;
-        std::str::from_utf8(bytes)
-            .map(str::to_owned)
-            .map_err(|_| TraceError::Corrupt("invalid UTF-8 string"))
-    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1050,7 +1074,7 @@ mod tests {
         // magic, node_id, hostname "h", zero sensors, fn_count = 2^31.
         buf.extend_from_slice(MAGIC);
         buf.extend_from_slice(&7u32.to_le_bytes());
-        encode_str(&mut buf, "h");
+        put_str(&mut buf, "h", u16::MAX);
         buf.extend_from_slice(&0u16.to_le_bytes());
         buf.extend_from_slice(&(1u32 << 31).to_le_bytes());
 
@@ -1078,7 +1102,7 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend_from_slice(MAGIC);
         buf.extend_from_slice(&0u32.to_le_bytes());
-        encode_str(&mut buf, "h");
+        put_str(&mut buf, "h", u16::MAX);
         buf.extend_from_slice(&u16::MAX.to_le_bytes()); // 65535 declared sensors
         let err =
             Trace::decode_with(&buf, &DecodeLimits::strict(), &CancelToken::default()).unwrap_err();
@@ -1125,6 +1149,16 @@ mod tests {
             partial.events.len() < t.events.len(),
             "decode stopped early under budget"
         );
+    }
+
+    #[test]
+    fn name_cut_at_the_cap_keeps_whole_characters() {
+        let mut t = sample_trace();
+        let name = format!("{}é", "a".repeat(u16::MAX as usize - 1));
+        t.functions[0].name = name.clone();
+        let back = Trace::decode(&t.to_bytes()).expect("a cut name still decodes");
+        assert_eq!(back.functions[0].name, name[..u16::MAX as usize - 1]);
+        assert_eq!(back.functions[1], t.functions[1]);
     }
 
     #[test]

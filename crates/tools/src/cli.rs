@@ -108,6 +108,7 @@ pub fn main_with_args(args: &[String], out: &mut dyn std::io::Write) -> Result<(
     let mut it = args.iter();
     let verb = it.next().map(String::as_str).unwrap_or("");
     let rest: Vec<String> = it.cloned().collect();
+    check_flags(&rest)?;
     match verb {
         "demo" => cmd_demo(&rest, out),
         "record" => cmd_record(&rest, out),
@@ -145,7 +146,38 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
         .cloned()
 }
 
-/// Flags that take no value; everything else starting `--` consumes one.
+/// Flags that take a value. With [`BOOLEAN_FLAGS`] these are every flag
+/// the CLI knows; [`check_flags`] refuses any other `--` argument.
+const VALUE_FLAGS: &[&str] = &[
+    "--addr",
+    "--base-ms",
+    "--cache",
+    "--cap-ms",
+    "--class",
+    "--count",
+    "--deadline",
+    "--disk-budget",
+    "--format",
+    "--interval",
+    "--jobs",
+    "--max-frame-bytes",
+    "--metrics-addr",
+    "--metrics-port-file",
+    "--np",
+    "--once",
+    "--out",
+    "--port-file",
+    "--rate-limit",
+    "--rescan-ms",
+    "--retries",
+    "--seed",
+    "--sensor",
+    "--session",
+    "--shed",
+    "--to",
+];
+
+/// Flags that take no value.
 const BOOLEAN_FLAGS: &[&str] = &[
     "--recover",
     "--metrics",
@@ -158,6 +190,24 @@ const BOOLEAN_FLAGS: &[&str] = &[
     "--no-telemetry",
     "--once-ready",
 ];
+
+/// Refuse an unknown `--flag` with a usage error that names it, so a
+/// typo is never silently ignored nor mistaken for a flag that swallows
+/// the next argument.
+fn check_flags(args: &[String]) -> Result<(), CliError> {
+    let mut value_next = false;
+    for a in args {
+        if std::mem::take(&mut value_next) || !a.starts_with("--") {
+            continue;
+        }
+        if VALUE_FLAGS.contains(&a.as_str()) {
+            value_next = true;
+        } else if !BOOLEAN_FLAGS.contains(&a.as_str()) {
+            return Err(CliError::usage(format!("unknown flag `{a}`\n\n{USAGE}")));
+        }
+    }
+    Ok(())
+}
 
 fn flag_present(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
@@ -2030,6 +2080,24 @@ mod tests {
         let err = run(&["report", "x.trace", "--jobs", "lots"]).unwrap_err();
         assert_eq!(err.code, 2);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn unknown_flag_is_a_usage_error_in_either_order() {
+        for args in [
+            ["report", "/nonexistent/cut.trace", "--recoverr"],
+            ["report", "--recoverr", "/nonexistent/cut.trace"],
+        ] {
+            let err = run(&args).unwrap_err();
+            assert_eq!(err.code, 2, "{args:?}");
+            assert!(
+                err.message.contains("unknown flag `--recoverr`"),
+                "{args:?}"
+            );
+        }
+        // A value that looks like a flag belongs to the flag before it.
+        let err = run(&["report", "/nonexistent/x.trace", "--format", "--csv"]).unwrap_err();
+        assert!(err.message.contains("unknown format"), "{}", err.message);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Byte-identity guard for the analysis outputs.
+//! Byte-identity guard for the analysis outputs and the on-disk formats.
 //!
 //! Small seeded generator traces — healthy, and damaged by
 //! [`TraceCorruptor`] then analysed in recover mode — are rendered through
@@ -7,14 +7,18 @@
 //! `Timeline::intervals` (which pins their order). Each
 //! output's FNV-1a digest must equal the constant recorded here, so a
 //! performance change to decode, timeline, correlate, profile or render
-//! cannot alter a single byte unnoticed. A deliberate output change
-//! updates the constants in the same commit and says why.
+//! cannot alter a single byte unnoticed. The same traces' `.trace`
+//! encodings, and every segment file of a deterministic spool, are
+//! pinned the same way, so a codec refactor cannot alter a stored byte
+//! either. A deliberate output change updates the constants in the same
+//! commit and says why.
 
 use tempest_core::export::{profile_to_csv, profile_to_json, profile_to_kv, profile_to_markdown};
 use tempest_core::timeline::Timeline;
 use tempest_core::{chrome_trace_json, report, AnalysisRequest};
 use tempest_probe::corrupt::TraceCorruptor;
-use tempest_probe::{Trace, TraceGenerator, TraceSpec};
+use tempest_probe::spool::{self, FsyncPolicy, SpoolConfig, SpoolWriter};
+use tempest_probe::{Event, Trace, TraceGenerator, TraceSpec};
 
 /// 64-bit FNV-1a.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -103,6 +107,89 @@ fn outputs_match_recorded_digests() {
     assert!(
         mismatches.is_empty(),
         "output digests changed:\n{}",
+        mismatches.join("\n")
+    );
+}
+
+/// FNV-1a of `Trace::to_bytes()` for each case of [`EXPECTED`].
+#[rustfmt::skip]
+const TRACE_BYTES: &[(Case, u64)] = &[
+    ((1, 20000, 1, false), 0x271f145525a9b25f),
+    ((1, 20000, 1, true), 0x01e2b9f6596fc207),
+    ((1, 40000, 3, false), 0xd490abf372e4a084),
+    ((1, 40000, 3, true), 0x43c290e58931f408),
+    ((2, 20000, 1, false), 0x39fe4978e5b3e4a1),
+    ((2, 20000, 1, true), 0x16d95454a5fdd2ba),
+    ((2, 40000, 3, false), 0x4e8bb0b0d7bef411),
+    ((2, 40000, 3, true), 0xd2955921ea191c96),
+];
+
+/// FNV-1a of each segment file of [`spool_segments`]' spool, in
+/// sequence order.
+#[rustfmt::skip]
+const SPOOL_SEGMENTS: &[u64] = &[
+    0xc5911f364826b244, 0x634634a1529ac1a2, 0x4e7b87c1435efedc, 0xd8870b116a36d612,
+    0xba5a9a41d70c3148, 0x5689b10abe3c8452, 0x95a3e52d00e5d225,
+];
+
+/// Spool one generator trace — its scope events, then its samples as
+/// millicelsius sample events — through the production writer with
+/// telemetry off and small segments so it rotates, and return the bytes
+/// of every segment file in sequence order.
+fn spool_segments() -> Vec<Vec<u8>> {
+    let trace = TraceGenerator::new(spec(3, 20_000, 3)).generate(0);
+    let dir = std::env::temp_dir().join(format!("tempest-digest-spool-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let config = SpoolConfig::new(&dir)
+        .segment_bytes(64 * 1024)
+        .fsync(FsyncPolicy::Never)
+        .telemetry_interval(None);
+    let mut writer = SpoolWriter::create(&config, trace.node.clone()).unwrap();
+    let samples: Vec<Event> = trace
+        .samples
+        .iter()
+        .map(|s| Event::sample(s.timestamp_ns, s.sensor, s.temperature.celsius()))
+        .collect();
+    for batch in trace.events.chunks(1_000).chain(samples.chunks(500)) {
+        writer.append_batch(batch).unwrap();
+        if writer.should_rotate() {
+            writer.rotate(&trace.functions).unwrap();
+        }
+    }
+    writer.finish(&trace.functions, 7, 3).unwrap();
+    let segments = spool::list_segment_files(&dir)
+        .unwrap()
+        .into_iter()
+        .map(|(_, path)| std::fs::read(path).unwrap())
+        .collect();
+    std::fs::remove_dir_all(&dir).ok();
+    segments
+}
+
+#[test]
+fn stored_bytes_match_recorded_digests() {
+    let mut mismatches = Vec::new();
+    for ((seed, events, threads, damaged), want) in TRACE_BYTES {
+        let mut trace = TraceGenerator::new(spec(*seed, *events, *threads)).generate(0);
+        if *damaged {
+            damage(&mut trace, *seed);
+        }
+        let got = fnv1a(&trace.to_bytes());
+        if got != *want {
+            mismatches.push(format!(
+                "{:?} trace bytes: {got:#018x}",
+                (seed, events, threads, damaged)
+            ));
+        }
+    }
+    let segments: Vec<u64> = spool_segments().iter().map(|b| fnv1a(b)).collect();
+    assert!(segments.len() >= 3, "the spool must rotate: {segments:?}");
+    if segments != SPOOL_SEGMENTS {
+        mismatches.push(format!("spool segments: {segments:#018x?}"));
+    }
+    assert!(
+        mismatches.is_empty(),
+        "stored bytes changed:\n{}",
         mismatches.join("\n")
     );
 }
