@@ -109,6 +109,15 @@ cargo run --release -q -p tempest-tools --bin tempest -- \
     report "$OBS_TMP/collected.trace" > "$OBS_TMP/collected.report"
 diff "$OBS_TMP/local.report" "$OBS_TMP/collected.report"
 echo "    collected report byte-identical to local analysis"
+# Both writers' directories must pass deep verification: every frame
+# re-decodes under strict limits and the manifest agrees with the disk.
+for dir in "$OBS_TMP/spool" "$OBS_TMP/collected/smoke-node0"; do
+    cargo run --release -q -p tempest-tools --bin tempest -- \
+        doctor "$dir" --fsck > "$OBS_TMP/doctor.txt"
+    grep -qx "$dir: ok" "$OBS_TMP/doctor.txt" \
+        || { echo "doctor --fsck did not report ok for $dir:" >&2; cat "$OBS_TMP/doctor.txt" >&2; exit 1; }
+done
+echo "    doctor --fsck: source and collected spools ok"
 
 echo "==> fleet observability smoke (2 shippers + /fleet.json + /metrics)"
 cargo run --release -q -p tempest-bench --bin spool_demo -- "$OBS_TMP/fleet-a" >/dev/null
