@@ -639,10 +639,22 @@ fn connect_and_drain(
         send_telemetry(config, &mut stream, report, metrics, node_id, &hostname)?;
     }
 
+    // Only the first pass, which starts at the WELCOME cursor, counts
+    // skipped frames: later passes revisit frames below the cursor that
+    // were sent or counted already.
+    let mut first_pass = true;
+    let mut open_tail = None;
     let mut last_activity = Instant::now();
     loop {
-        let (shipped_any, footer_shipped) =
-            ship_available(config, &mut stream, &mut cursor, report, metrics)?;
+        let (shipped_any, footer_shipped) = ship_available(
+            config,
+            &mut stream,
+            &mut cursor,
+            std::mem::take(&mut first_pass),
+            &mut open_tail,
+            report,
+            metrics,
+        )?;
         if shipped_any {
             last_activity = Instant::now();
             // Persist progress after every drain pass; losing it only
@@ -730,11 +742,16 @@ fn send_telemetry(
 /// Ship every frame at or past `cursor` currently on disk, in recovery
 /// order: ascending segment sequence, ascending offset, and never past an
 /// unsealed segment (the live tail may still grow and must ship before
-/// anything that could follow it). Returns `(shipped_any, footer_shipped)`.
+/// anything that could follow it). Frames below the cursor are counted as
+/// skipped when `count_skips`. `open_tail` is the open segment's sequence
+/// and length when this connection last read it: unchanged, it holds
+/// nothing new. Returns `(shipped_any, footer_shipped)`.
 fn ship_available(
     config: &ShipConfig,
     stream: &mut TcpStream,
     cursor: &mut Cursor,
+    count_skips: bool,
+    open_tail: &mut Option<(u64, u64)>,
     report: &mut ShipReport,
     metrics: &ShipMetrics,
 ) -> io::Result<(bool, bool)> {
@@ -744,6 +761,9 @@ fn ship_available(
             continue;
         }
         let sealed = path.extension().is_some_and(|e| e == "seg");
+        if !sealed && std::fs::metadata(&path).is_ok_and(|m| *open_tail == Some((seq, m.len()))) {
+            break;
+        }
         let bytes = match std::fs::read(&path) {
             Ok(b) => b,
             // Sealed out from under us between listing and reading.
@@ -757,7 +777,7 @@ fn ship_available(
                 off: f.offset,
             };
             if at < *cursor {
-                report.frames_skipped += 1;
+                report.frames_skipped += u64::from(count_skips);
                 // A footer behind the resume cursor means the collector
                 // already holds the whole session durably — the final ACK
                 // of a previous attempt was lost, not the data. That is
@@ -798,6 +818,7 @@ fn ship_available(
             // The open segment is the live tail; everything after it (a
             // later rescan will see it sealed plus a successor) must wait
             // so the rotation's symbol frame is never skipped.
+            *open_tail = Some((seq, bytes.len() as u64));
             break;
         }
     }

@@ -168,9 +168,8 @@ pub fn frame_header(kind: u8, payload: &[u8]) -> [u8; FRAME_HEADER_LEN] {
     head
 }
 
-/// Append one encoded frame (header + payload) to `buf`. This is the
-/// exact byte layout [`SpoolWriter`] produces; the collector daemon uses
-/// it to write received frames back out as standard spool segments.
+/// Append one encoded frame (header + payload) to `buf`: the bytes
+/// [`SegmentLog::append`] writes, for building segments by hand.
 pub fn encode_frame_into(buf: &mut Vec<u8>, kind: u8, payload: &[u8]) {
     buf.extend_from_slice(&frame_header(kind, payload));
     buf.extend_from_slice(payload);
@@ -287,8 +286,6 @@ pub struct SpoolStats {
     pub events_dropped: u64,
     /// Sensor samples shed by the bounded queue.
     pub samples_dropped: u64,
-    /// Total payload bytes appended across all segments.
-    pub bytes_written: u64,
     /// Whole batches dropped because the disk rejected the write
     /// (`ENOSPC`, permission loss, a vanished directory, …). The writer
     /// degrades instead of killing the session; see
@@ -303,6 +300,202 @@ pub struct SpoolStats {
     pub io_errors: u64,
 }
 
+// ---- segment log -----------------------------------------------------------
+
+/// File name of segment `seq`: `seg-NNNNNN.open` while it is active,
+/// `seg-NNNNNN.seg` once sealed.
+fn segment_name(seq: u64, sealed: bool) -> String {
+    format!("seg-{seq:06}.{}", if sealed { "seg" } else { "open" })
+}
+
+/// Create segment `seq`'s `.open` file and write its header.
+fn create_segment(dir: &Path, seq: u64) -> io::Result<BufWriter<File>> {
+    let mut out = BufWriter::new(File::create(dir.join(segment_name(seq, false)))?);
+    out.write_all(&segment_header_bytes(seq))?;
+    Ok(out)
+}
+
+/// Fsync and seal counters of the probe's spool. The collector's log
+/// carries none, so the collector resolves no `spool_*` metric.
+struct LogMetrics {
+    fsyncs: tempest_obs::Counter,
+    fsync_ns: tempest_obs::Histogram,
+    segments_sealed: tempest_obs::Counter,
+}
+
+/// One spool directory's segments and manifest: the one open, append,
+/// sync, seal, rotate and manifest path that both the probe's
+/// [`SpoolWriter`] and the collector daemon write through, so both produce
+/// the same bytes with the same durability. Which appends are fsynced is
+/// the caller's choice ([`sync`](Self::sync)).
+pub struct SegmentLog {
+    dir: PathBuf,
+    fsync: FsyncPolicy,
+    segment_bytes: u64,
+    /// Node id and hostname, as the manifest's `node` line gives them.
+    node: String,
+    seq: u64,
+    out: BufWriter<File>,
+    bytes_in_segment: u64,
+    sealed: Vec<String>,
+    metrics: Option<LogMetrics>,
+}
+
+impl SegmentLog {
+    /// Open a log on `dir` (created if absent) whose active segment follows
+    /// the `existing` ones ([`list_segment_files`]), or is sequence 0, and
+    /// write the manifest unclean. A crashed writer's `.open` segment among
+    /// them is sealed as it stands (recovery drops its torn tail); an
+    /// `.open` twin of a sealed one is removed. `segment_bytes` is the
+    /// rotation threshold, at least 4 KiB.
+    pub fn open(
+        dir: &Path,
+        existing: &[(u64, PathBuf)],
+        fsync: FsyncPolicy,
+        segment_bytes: u64,
+        node_id: u32,
+        hostname: &str,
+    ) -> io::Result<SegmentLog> {
+        std::fs::create_dir_all(dir)?;
+        let seq = existing.last().map_or(0, |(seq, _)| seq + 1);
+        let mut log = SegmentLog {
+            dir: dir.to_path_buf(),
+            fsync,
+            segment_bytes: segment_bytes.max(4096),
+            node: format!("{node_id} {hostname}"),
+            seq,
+            out: create_segment(dir, seq)?,
+            bytes_in_segment: SEGMENT_HEADER_LEN as u64,
+            sealed: Vec::new(),
+            metrics: None,
+        };
+        for (seq, path) in existing {
+            if path.extension().is_some_and(|e| e == "seg") {
+                std::fs::remove_file(dir.join(segment_name(*seq, false))).ok();
+                log.sealed.push(segment_name(*seq, true));
+            } else {
+                log.seal(Some((*seq, &File::open(path)?)))?;
+            }
+        }
+        log.write_manifest(false)?;
+        Ok(log)
+    }
+
+    /// Append one frame, header and payload, to the active segment's
+    /// buffer. Returns the bytes it took.
+    pub fn append(&mut self, kind: u8, payload: &[u8]) -> io::Result<u64> {
+        self.out.write_all(&frame_header(kind, payload))?;
+        self.out.write_all(payload)?;
+        let n = (FRAME_HEADER_LEN + payload.len()) as u64;
+        self.bytes_in_segment += n;
+        Ok(n)
+    }
+
+    /// Flush the active segment and fsync it.
+    pub fn sync(&mut self) -> io::Result<()> {
+        self.out.flush()?;
+        self.sync_file(self.out.get_ref())
+    }
+
+    fn sync_file(&self, file: &File) -> io::Result<()> {
+        let t0 = std::time::Instant::now();
+        file.sync_data()?;
+        if let Some(m) = &self.metrics {
+            m.fsyncs.inc();
+            m.fsync_ns.record_duration(t0.elapsed());
+        }
+        Ok(())
+    }
+
+    /// True once the active segment has reached the rotation threshold.
+    pub fn is_full(&self) -> bool {
+        self.bytes_in_segment >= self.segment_bytes
+    }
+
+    /// Seal the active segment, open the next one and rewrite the
+    /// manifest.
+    pub fn rotate(&mut self) -> io::Result<()> {
+        self.seal(None)?;
+        self.open_next()?;
+        self.write_manifest(false)
+    }
+
+    /// Seal the active segment, or delete it when it holds nothing but its
+    /// header, then write the manifest with the `clean` flag. The manifest
+    /// is left as it was when the seal fails.
+    pub fn close(&mut self, clean: bool) -> io::Result<()> {
+        if self.bytes_in_segment > SEGMENT_HEADER_LEN as u64 {
+            self.seal(None)?;
+        } else {
+            std::fs::remove_file(self.dir.join(segment_name(self.seq, false))).ok();
+        }
+        self.write_manifest(clean)
+    }
+
+    /// The one seal every segment passes through: the active one (flushed
+    /// first) when `leftover` is `None`, else a crashed writer's `.open`
+    /// segment with its sequence and file. Fsync the file unless the
+    /// policy is [`FsyncPolicy::Never`], rename it to `.seg`, then fsync
+    /// the directory so the rename survives power loss. The directory
+    /// fsync is best effort: some filesystems reject it, and its failure
+    /// only weakens durability.
+    fn seal(&mut self, leftover: Option<(u64, &File)>) -> io::Result<()> {
+        let (seq, file) = match leftover {
+            Some(leftover) => leftover,
+            None => {
+                self.out.flush()?;
+                (self.seq, self.out.get_ref())
+            }
+        };
+        if self.fsync != FsyncPolicy::Never {
+            self.sync_file(file)?;
+        }
+        let name = segment_name(seq, true);
+        std::fs::rename(
+            self.dir.join(segment_name(seq, false)),
+            self.dir.join(&name),
+        )?;
+        File::open(&self.dir).and_then(|d| d.sync_all()).ok();
+        if let Some(m) = &self.metrics {
+            m.segments_sealed.inc();
+        }
+        self.sealed.push(name);
+        Ok(())
+    }
+
+    /// Leave the active segment as it stands and start the next one in a
+    /// re-created directory: rotation's second half, and how a writer
+    /// leaves a segment that a write failure poisoned.
+    fn open_next(&mut self) -> io::Result<()> {
+        std::fs::create_dir_all(&self.dir)?;
+        self.seq += 1;
+        self.out = create_segment(&self.dir, self.seq)?;
+        self.bytes_in_segment = SEGMENT_HEADER_LEN as u64;
+        Ok(())
+    }
+
+    /// Write the manifest via sibling-temp + rename, so readers never see
+    /// a half-written one. Informational: recovery rescans the segments.
+    fn write_manifest(&self, clean: bool) -> io::Result<()> {
+        let mut text = format!(
+            "tempest-spool v1\nnode {}\nclean {}\nsegments {}\n",
+            self.node,
+            u8::from(clean),
+            self.sealed.len()
+        );
+        for name in &self.sealed {
+            text.push_str(name);
+            text.push('\n');
+        }
+        let path = self.dir.join(MANIFEST_NAME);
+        let tmp = self
+            .dir
+            .join(format!(".{}.tmp.{}", MANIFEST_NAME, std::process::id()));
+        std::fs::write(&tmp, text)?;
+        std::fs::rename(&tmp, &path).inspect_err(|_| drop(std::fs::remove_file(&tmp)))
+    }
+}
+
 // ---- writer ----------------------------------------------------------------
 
 /// Appends frames to the active segment, rotating and sealing as it fills.
@@ -312,18 +505,10 @@ pub struct SpoolStats {
 /// [`rotate`](Self::rotate)/[`finish`](Self::finish)) so it is unit-testable
 /// without a live profiler.
 pub struct SpoolWriter {
-    dir: PathBuf,
-    segment_bytes: u64,
-    fsync: FsyncPolicy,
+    log: SegmentLog,
     node: NodeMeta,
-    seq: u64,
-    out: BufWriter<File>,
-    open_name: String,
-    bytes_in_segment: u64,
-    sealed: Vec<String>,
     events_written: u64,
     samples_written: u64,
-    total_bytes: u64,
     scratch: Vec<u8>,
     metrics: SpoolMetrics,
     /// Set after a write failure: the active segment is poisoned (its
@@ -337,7 +522,6 @@ pub struct SpoolWriter {
     io_errors: u64,
     telemetry_interval: Option<std::time::Duration>,
     last_telemetry: std::time::Instant,
-    telemetry_frames: u64,
 }
 
 /// Self-metrics handles for one spool writer; resolved once at
@@ -345,53 +529,52 @@ pub struct SpoolWriter {
 struct SpoolMetrics {
     frames: tempest_obs::Counter,
     bytes: tempest_obs::Counter,
-    fsyncs: tempest_obs::Counter,
-    fsync_ns: tempest_obs::Histogram,
-    segments_sealed: tempest_obs::Counter,
     io_errors: tempest_obs::Counter,
     batches_dropped_io: tempest_obs::Counter,
     telemetry_frames: tempest_obs::Counter,
 }
 
 impl SpoolMetrics {
-    fn resolve() -> Self {
+    fn resolve() -> (Self, LogMetrics) {
         let reg = tempest_obs::global();
-        SpoolMetrics {
+        let spool = SpoolMetrics {
             frames: reg.counter("spool_frames_total"),
             bytes: reg.counter("spool_bytes_total"),
-            fsyncs: reg.counter("spool_fsyncs_total"),
-            fsync_ns: reg.histogram("spool_fsync_ns"),
-            segments_sealed: reg.counter("spool_segments_sealed_total"),
             io_errors: reg.counter("spool_io_errors_total"),
             batches_dropped_io: reg.counter("spool_batches_dropped_io_total"),
             telemetry_frames: reg.counter("spool_telemetry_frames_total"),
-        }
+        };
+        let log = LogMetrics {
+            fsyncs: reg.counter("spool_fsyncs_total"),
+            fsync_ns: reg.histogram("spool_fsync_ns"),
+            segments_sealed: reg.counter("spool_segments_sealed_total"),
+        };
+        (spool, log)
     }
 }
 
 impl SpoolWriter {
-    /// Create the spool directory (if needed) and open the first segment.
-    /// The node metadata is stamped at the head of every segment so each
-    /// one is independently attributable after a crash.
+    /// Create the spool directory (if needed) and open the first segment,
+    /// sequence 0. The node metadata is stamped at the head of every
+    /// segment so each one is independently attributable after a crash.
     pub fn create(config: &SpoolConfig, node: NodeMeta) -> io::Result<SpoolWriter> {
-        std::fs::create_dir_all(&config.dir)?;
+        let mut log = SegmentLog::open(
+            &config.dir,
+            &[],
+            config.fsync,
+            config.segment_bytes,
+            node.node_id,
+            &node.hostname,
+        )?;
+        let (metrics, log_metrics) = SpoolMetrics::resolve();
+        log.metrics = Some(log_metrics);
         let mut w = SpoolWriter {
-            dir: config.dir.clone(),
-            segment_bytes: config.segment_bytes.max(4096),
-            fsync: config.fsync,
+            log,
             node,
-            seq: 0,
-            // Replaced by open_segment below; a throwaway sink keeps the
-            // field non-optional.
-            out: BufWriter::new(File::create(config.dir.join(".spool-init"))?),
-            open_name: String::new(),
-            bytes_in_segment: 0,
-            sealed: Vec::new(),
             events_written: 0,
             samples_written: 0,
-            total_bytes: 0,
             scratch: Vec::new(),
-            metrics: SpoolMetrics::resolve(),
+            metrics,
             degraded: false,
             drops_since_revive: 0,
             batches_dropped_io: 0,
@@ -400,33 +583,20 @@ impl SpoolWriter {
             io_errors: 0,
             telemetry_interval: config.telemetry_interval,
             last_telemetry: std::time::Instant::now(),
-            telemetry_frames: 0,
         };
-        std::fs::remove_file(w.dir.join(".spool-init")).ok();
-        w.open_segment()?;
-        w.write_manifest(false)?;
+        w.stamp_node()?;
         Ok(w)
     }
 
-    fn open_segment(&mut self) -> io::Result<()> {
-        self.open_name = format!("seg-{:06}.open", self.seq);
-        let file = File::create(self.dir.join(&self.open_name))?;
-        self.out = BufWriter::new(file);
-        self.out.write_all(SEGMENT_MAGIC)?;
-        self.out.write_all(&self.seq.to_le_bytes())?;
-        self.bytes_in_segment = SEGMENT_HEADER_LEN as u64;
-        self.total_bytes += SEGMENT_HEADER_LEN as u64;
+    /// Write the node frame after a fresh segment's header.
+    fn stamp_node(&mut self) -> io::Result<()> {
         let mut node = Vec::new();
         trace::encode_node(&mut node, &self.node);
         self.write_frame(FRAME_NODE, &node)
     }
 
     fn write_frame(&mut self, kind: u8, payload: &[u8]) -> io::Result<()> {
-        self.out.write_all(&frame_header(kind, payload))?;
-        self.out.write_all(payload)?;
-        let n = (FRAME_HEADER_LEN + payload.len()) as u64;
-        self.bytes_in_segment += n;
-        self.total_bytes += n;
+        let n = self.log.append(kind, payload)?;
         self.metrics.frames.inc();
         self.metrics.bytes.add(n);
         Ok(())
@@ -439,15 +609,6 @@ impl SpoolWriter {
         let mut payload = Vec::new();
         trace::encode_symbols(&mut payload, functions);
         self.write_frame(FRAME_SYMBOLS, &payload)
-    }
-
-    fn sync(&mut self) -> io::Result<()> {
-        let t0 = std::time::Instant::now();
-        self.out.flush()?;
-        self.out.get_ref().sync_data()?;
-        self.metrics.fsyncs.inc();
-        self.metrics.fsync_ns.record_duration(t0.elapsed());
-        Ok(())
     }
 
     /// Retry opening a fresh segment after this many IO-dropped batches.
@@ -512,8 +673,8 @@ impl SpoolWriter {
         let result = self.write_frame(FRAME_EVENTS, &payload);
         self.scratch = payload;
         result?;
-        if self.fsync == FsyncPolicy::PerBatch {
-            self.sync()?;
+        if self.log.fsync == FsyncPolicy::PerBatch {
+            self.log.sync()?;
         }
         // Counted only once the frame (and, per policy, its fsync)
         // succeeded, so a failed batch is accounted as dropped, not both.
@@ -558,14 +719,8 @@ impl SpoolWriter {
         if self.write_frame(FRAME_METRICS, &payload).is_err() {
             self.enter_degraded();
         } else {
-            self.telemetry_frames += 1;
             self.metrics.telemetry_frames.inc();
         }
-    }
-
-    /// Telemetry frames appended so far.
-    pub fn telemetry_frames(&self) -> u64 {
-        self.telemetry_frames
     }
 
     /// Record one write failure and poison the active segment.
@@ -578,8 +733,8 @@ impl SpoolWriter {
             Error,
             "spool",
             "write failed; shedding batches until the disk revives",
-            dir = self.dir.display(),
-            seq = self.seq,
+            dir = self.log.dir.display(),
+            seq = self.log.seq,
             io_errors = self.io_errors,
         );
         tempest_obs::flight::dump_now("spool writer degraded");
@@ -613,19 +768,14 @@ impl SpoolWriter {
     /// One immediate revival attempt: fresh directory (it may have been
     /// deleted), fresh segment, fresh sequence number.
     fn revive_now(&mut self) -> bool {
-        let attempt = (|| -> io::Result<()> {
-            std::fs::create_dir_all(&self.dir)?;
-            self.seq += 1;
-            self.open_segment()
-        })();
-        match attempt {
+        match self.log.open_next().and_then(|()| self.stamp_node()) {
             Ok(()) => {
                 self.degraded = false;
                 tempest_obs::event!(
                     Info,
                     "spool",
                     "writer revived on a fresh segment",
-                    seq = self.seq
+                    seq = self.log.seq
                 );
                 true
             }
@@ -645,7 +795,7 @@ impl SpoolWriter {
     /// True once the active segment has outgrown the configured size.
     /// Never true while degraded: there is no healthy segment to seal.
     pub fn should_rotate(&self) -> bool {
-        !self.degraded && self.bytes_in_segment >= self.segment_bytes
+        !self.degraded && self.log.is_full()
     }
 
     /// Seal the active segment (symbol snapshot, flush, fsync per policy,
@@ -654,10 +804,8 @@ impl SpoolWriter {
     /// dies before the footer.
     pub fn rotate(&mut self, functions: &[FunctionDef]) -> io::Result<()> {
         self.write_symbols(functions)?;
-        self.seal_segment()?;
-        self.seq += 1;
-        self.open_segment()?;
-        self.write_manifest(false)
+        self.log.rotate()?;
+        self.stamp_node()
     }
 
     /// [`rotate`](Self::rotate), but a failure degrades the writer
@@ -670,19 +818,6 @@ impl SpoolWriter {
         if self.rotate(functions).is_err() {
             self.enter_degraded();
         }
-    }
-
-    fn seal_segment(&mut self) -> io::Result<()> {
-        match self.fsync {
-            FsyncPolicy::Never => self.out.flush()?,
-            FsyncPolicy::PerSegment | FsyncPolicy::PerBatch => self.sync()?,
-        }
-        let sealed_name = format!("seg-{:06}.seg", self.seq);
-        std::fs::rename(self.dir.join(&self.open_name), self.dir.join(&sealed_name))?;
-        sync_dir(&self.dir);
-        self.sealed.push(sealed_name);
-        self.metrics.segments_sealed.inc();
-        Ok(())
     }
 
     /// Orderly shutdown: write the symbol snapshot and the session footer
@@ -716,8 +851,7 @@ impl SpoolWriter {
             footer[24..32]
                 .copy_from_slice(&(samples_dropped + self.samples_dropped_io).to_le_bytes());
             self.write_frame(FRAME_FOOTER, &footer)?;
-            self.seal_segment()?;
-            self.write_manifest(true)
+            self.log.close(true)
         })();
         if seal.is_err() {
             self.io_errors += 1;
@@ -728,58 +862,15 @@ impl SpoolWriter {
 
     fn stats(&self, events_dropped: u64, samples_dropped: u64) -> SpoolStats {
         SpoolStats {
-            segments: self.sealed.len() as u32,
+            segments: self.log.sealed.len() as u32,
             events_written: self.events_written,
             samples_written: self.samples_written,
             events_dropped,
             samples_dropped,
-            bytes_written: self.total_bytes,
             batches_dropped_io: self.batches_dropped_io,
             events_dropped_io: self.events_dropped_io,
             samples_dropped_io: self.samples_dropped_io,
             io_errors: self.io_errors,
-        }
-    }
-
-    /// Write the manifest via sibling-temp + rename, so readers never see
-    /// a half-written manifest. Informational: recovery rescans segments.
-    fn write_manifest(&self, clean: bool) -> io::Result<()> {
-        write_manifest_file(
-            &self.dir,
-            self.node.node_id,
-            &self.node.hostname,
-            clean,
-            &self.sealed,
-        )
-    }
-}
-
-/// Write a spool manifest (atomic sibling-temp + rename). Shared with the
-/// collector daemon, whose session directories are standard spools.
-pub fn write_manifest_file(
-    dir: &Path,
-    node_id: u32,
-    hostname: &str,
-    clean: bool,
-    sealed: &[String],
-) -> io::Result<()> {
-    let mut text = String::new();
-    text.push_str("tempest-spool v1\n");
-    text.push_str(&format!("node {node_id} {hostname}\n"));
-    text.push_str(&format!("clean {}\n", u8::from(clean)));
-    text.push_str(&format!("segments {}\n", sealed.len()));
-    for name in sealed {
-        text.push_str(name);
-        text.push('\n');
-    }
-    let path = dir.join(MANIFEST_NAME);
-    let tmp = dir.join(format!(".{}.tmp.{}", MANIFEST_NAME, std::process::id()));
-    std::fs::write(&tmp, text)?;
-    match std::fs::rename(&tmp, &path) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            std::fs::remove_file(&tmp).ok();
-            Err(e)
         }
     }
 }
@@ -857,17 +948,15 @@ pub fn check_manifest(dir: &Path) -> io::Result<Option<ManifestCheck>> {
     }
     check.listed = listed.len() as u32;
     let mut sealed_on_disk: Vec<String> = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let name = entry?.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if name.starts_with("seg-") && name.ends_with(".seg") {
-            sealed_on_disk.push(name.to_string());
-        } else if name.starts_with("seg-") && name.ends_with(".open") {
-            check.unsealed.push(name.to_string());
+    for (_, path) in list_segment_files(dir)? {
+        let name = path.file_name().unwrap_or_default().to_string_lossy();
+        let name = name.into_owned();
+        if path.extension().is_some_and(|e| e == "seg") {
+            sealed_on_disk.push(name);
+        } else {
+            check.unsealed.push(name);
         }
     }
-    sealed_on_disk.sort();
-    check.unsealed.sort();
     for name in &listed {
         if !sealed_on_disk.iter().any(|d| d == name) {
             check.missing.push(name.clone());
@@ -879,15 +968,6 @@ pub fn check_manifest(dir: &Path) -> io::Result<Option<ManifestCheck>> {
         }
     }
     Ok(Some(check))
-}
-
-/// Fsync a directory so a just-renamed entry survives power loss. Best
-/// effort: some filesystems reject directory fsync, and a failure here
-/// only weakens durability, never correctness.
-fn sync_dir(dir: &Path) {
-    if let Ok(d) = File::open(dir) {
-        d.sync_all().ok();
-    }
 }
 
 // ---- payload decoding ------------------------------------------------------
@@ -1076,65 +1156,33 @@ pub fn is_spool_dir(path: &Path) -> bool {
     if path.join(MANIFEST_NAME).is_file() {
         return true;
     }
-    list_segments(path).map(|s| !s.is_empty()).unwrap_or(false)
+    list_segment_files(path).is_ok_and(|s| !s.is_empty())
 }
 
-/// Segment files in `dir`, ordered by sequence number. Sealed segments
-/// sort before an open one with the same sequence (the open one is a
-/// leftover from a crashed rotation and scanning it second is harmless —
-/// duplicate protection comes from sequence ordering being strict).
-fn list_segments(dir: &Path) -> io::Result<Vec<PathBuf>> {
-    let mut segs: Vec<(u64, u8, PathBuf)> = Vec::new();
+/// The segment files of `dir` as `(sequence, path)`, in sequence order
+/// and one per sequence: where a sealed `.seg` and an `.open` file share a
+/// sequence, the sealed one wins and the `.open` twin is ignored. Every
+/// reader (recovery, fsck, the manifest check, the shipper, the fleet
+/// view) and the collector's reopen list segments through here, so they
+/// all see the same set.
+pub fn list_segment_files(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
+    let mut segs: Vec<(u64, bool, PathBuf)> = Vec::new();
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let (rank, stem) = if let Some(stem) = name.strip_suffix(".seg") {
-            (0u8, stem)
-        } else if let Some(stem) = name.strip_suffix(".open") {
-            (1u8, stem)
-        } else {
-            continue;
-        };
-        let Some(seq) = stem
-            .strip_prefix("seg-")
-            .and_then(|s| s.parse::<u64>().ok())
+        let parts = name
+            .to_str()
+            .and_then(|n| n.strip_prefix("seg-")?.split_once('.'));
+        let Some((Ok(seq), ext @ ("seg" | "open"))) = parts.map(|(s, e)| (s.parse::<u64>(), e))
         else {
             continue;
         };
-        segs.push((seq, rank, entry.path()));
+        segs.push((seq, ext == "open", entry.path()));
     }
+    // Sealed sorts before open at an equal sequence; dedup keeps the first.
     segs.sort();
-    Ok(segs.into_iter().map(|(_, _, p)| p).collect())
-}
-
-/// Segment files in `dir` as `(sequence, path)`, ordered by sequence and
-/// deduplicated: when a sealed and an open file share a sequence (a
-/// crashed rotation), the sealed one wins. This is the shipper's view of
-/// a spool — a cursor keyed by sequence must be unambiguous.
-pub fn list_segment_files(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
-    let mut out: Vec<(u64, PathBuf)> = Vec::new();
-    for path in list_segments(dir)? {
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        let stem = name
-            .strip_suffix(".seg")
-            .or_else(|| name.strip_suffix(".open"))
-            .unwrap_or(name);
-        let Some(seq) = stem
-            .strip_prefix("seg-")
-            .and_then(|s| s.parse::<u64>().ok())
-        else {
-            continue;
-        };
-        // list_segments sorts sealed before open at equal sequence, so
-        // the first occurrence is the one to keep.
-        if out.last().map(|(s, _)| *s) != Some(seq) {
-            out.push((seq, path));
-        }
-    }
-    Ok(out)
+    segs.dedup_by_key(|(seq, _, _)| *seq);
+    Ok(segs.into_iter().map(|(seq, _, path)| (seq, path)).collect())
 }
 
 /// One checksum-verified frame inside a segment file, with the byte
@@ -1282,11 +1330,12 @@ fn synthesize_functions(events: &[Event]) -> Vec<FunctionDef> {
 
 /// Scan a spool directory and reassemble the trace it holds.
 ///
-/// Deliberately manifest-independent: every segment file present is
-/// scanned, every frame is checksum-verified, and parsing of a segment
-/// stops at its first damaged frame (later segments are still used — a
-/// torn rotation does not sacrifice everything after it). Never panics on
-/// arbitrary input; a directory with no usable segment data is an error.
+/// Deliberately manifest-independent: every segment that
+/// [`list_segment_files`] lists is scanned, every frame is checksum-verified,
+/// and parsing of a segment stops at its first damaged frame (later segments
+/// are still used — a torn rotation does not sacrifice everything after
+/// it). Never panics on arbitrary input; a directory with no usable segment
+/// data is an error.
 pub fn recover(dir: &Path) -> Result<(Trace, SpoolReport), TraceError> {
     recover_with(dir, &DecodeLimits::default(), &CancelToken::default())
 }
@@ -1303,7 +1352,7 @@ pub fn recover_with(
     limits: &DecodeLimits,
     cancel: &CancelToken,
 ) -> Result<(Trace, SpoolReport), TraceError> {
-    let segments = list_segments(dir)?;
+    let segments = list_segment_files(dir)?;
     if segments.is_empty() {
         return Err(TraceError::Corrupt("no spool segments found"));
     }
@@ -1316,7 +1365,7 @@ pub fn recover_with(
     let budget = limits.budget();
     let mut limit_hit: Option<LimitExceeded> = None;
 
-    'scan: for path in &segments {
+    'scan: for (_, path) in &segments {
         if let Err(e) = cancel.check("spool recover") {
             limit_hit = Some(e);
             break;
@@ -1495,7 +1544,7 @@ impl SegmentFsck {
 /// bounded amount of memory that is dropped before the next one.
 pub fn fsck_dir(dir: &Path, limits: &DecodeLimits) -> io::Result<Vec<SegmentFsck>> {
     let mut out = Vec::new();
-    for path in list_segments(dir)? {
+    for (_, path) in list_segment_files(dir)? {
         let bytes = std::fs::read(&path)?;
         let (frames, torn) = parse_segment_frames(&bytes);
         let mut fsck = SegmentFsck {
@@ -2168,7 +2217,7 @@ mod tests {
         let config = SpoolConfig::new(&dir).fsync(FsyncPolicy::PerBatch);
         let mut w = SpoolWriter::create(&config, demo_node()).unwrap();
         // Point the active segment at the always-full device.
-        w.out = BufWriter::new(File::options().write(true).open("/dev/full").unwrap());
+        w.log.out = BufWriter::new(File::options().write(true).open("/dev/full").unwrap());
         w.append_batch(&demo_batch(0)).unwrap();
         assert!(w.is_degraded(), "ENOSPC must degrade, not error");
         assert!(!w.should_rotate(), "no healthy segment to rotate");
@@ -2260,6 +2309,34 @@ mod tests {
         assert_eq!(files[1].0, 1);
         assert!(files[1].1.ends_with("seg-000001.open"));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn open_twin_of_a_sealed_segment_is_ignored_by_every_reader() {
+        let dir = temp_spool_dir("twin");
+        let config = SpoolConfig::new(&dir).fsync(FsyncPolicy::Never);
+        let mut w = SpoolWriter::create(&config, demo_node()).unwrap();
+        w.append_batch(&demo_batch(100)).unwrap();
+        w.finish(&demo_functions(), 0, 0).unwrap();
+        let (sealed_only, _) = recover(&dir).unwrap();
+
+        // A crashed writer's open segment with the same sequence, holding
+        // decodable events the sealed file does not have.
+        let other = temp_spool_dir("twin-src");
+        let mut w = SpoolWriter::create(&SpoolConfig::new(&other), demo_node()).unwrap();
+        w.append_batch(&demo_batch(900)).unwrap();
+        drop(w);
+        std::fs::rename(other.join("seg-000000.open"), dir.join("seg-000000.open")).unwrap();
+
+        let (trace, report) = recover(&dir).unwrap();
+        assert_eq!(trace, sealed_only, "only the sealed file's events");
+        assert_eq!(report.segments_scanned, 1);
+        let fsck = fsck_dir(&dir, &DecodeLimits::strict()).unwrap();
+        assert_eq!(fsck.len(), 1);
+        assert!(fsck[0].path.ends_with("seg-000000.seg"));
+        assert!(check_manifest(&dir).unwrap().unwrap().consistent());
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&other).ok();
     }
 
     #[test]

@@ -452,3 +452,184 @@ fn events_survive_exactly_once_under_every_outcome() {
     std::fs::remove_dir_all(&src).ok();
     std::fs::remove_dir_all(&out).ok();
 }
+
+#[test]
+fn caught_up_follow_shipper_neither_recounts_nor_resends() {
+    let src = temp_dir("idle-src");
+    let out = temp_dir("idle-out");
+    let (handle, server) = start_collector(&out);
+    let addr = handle.addr();
+
+    // One open segment that stops growing once the batches are written.
+    let config = SpoolConfig::new(&src).fsync(FsyncPolicy::PerBatch);
+    let mut w = SpoolWriter::create(&config, node(8)).unwrap();
+    let batches = 20;
+    for i in 0..batches {
+        w.append_batch(&batch(i)).unwrap();
+    }
+    let poll = Duration::from_millis(5);
+    let src_for_shipper = src.clone();
+    let shipper = std::thread::spawn(move || {
+        let mut config = ShipConfig::new(&src_for_shipper, addr.to_string());
+        config.session = "idle".into();
+        config.follow = true;
+        config.retry = quick_retries();
+        config.poll = poll;
+        ship::ship(&config).unwrap()
+    });
+
+    // The node frame and every batch acked, then at least ten idle polls
+    // over the unchanged open segment before the session ends.
+    let frames = || {
+        handle
+            .stats()
+            .frames
+            .load(std::sync::atomic::Ordering::Relaxed)
+    };
+    let give_up = std::time::Instant::now() + Duration::from_secs(30);
+    while frames() < 1 + batches {
+        assert!(
+            std::time::Instant::now() < give_up,
+            "shipper never caught up"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    std::thread::sleep(poll * 20);
+    w.finish(&functions(), 0, 0).unwrap();
+    let report = shipper.join().unwrap();
+    handle.shutdown();
+    server.join().unwrap().unwrap();
+
+    assert!(report.complete, "{report:?}");
+    assert_eq!(report.frames_skipped, 0, "nothing lay below WELCOME");
+    assert_eq!(report.frames_sent, report.frames_acked);
+    let (src_trace, _) = analysis_of(&src);
+    let (dst_trace, _) = analysis_of(&out.join("idle-node8"));
+    assert_eq!(src_trace, dst_trace);
+
+    std::fs::remove_dir_all(&src).ok();
+    std::fs::remove_dir_all(&out).ok();
+}
+
+#[test]
+fn collector_reopen_seals_leftovers_and_resumes_past_the_last_intact_frame() {
+    use tempest_probe::ship::{
+        encode_hello, read_msg, write_msg, Cursor, Hello, MAX_WIRE_LEN, MSG_HELLO, MSG_WELCOME,
+        SHIP_MAGIC, SHIP_VERSION,
+    };
+    use tempest_probe::spool::{
+        encode_frame_into, parse_segment_frames, segment_header_bytes, shipped2_payload,
+        FRAME_EVENTS, FRAME_HEADER_LEN, FRAME_SHIPPED2,
+    };
+
+    let src = temp_dir("reopen-src");
+    let out = temp_dir("reopen-out");
+    build_spool(&src, 9, 80, 4096);
+
+    // Every source frame with its cursor, in shipping order.
+    let mut source: Vec<(u64, u64, u8, Vec<u8>)> = Vec::new();
+    for (seq, path) in spool::list_segment_files(&src).unwrap() {
+        let bytes = std::fs::read(path).unwrap();
+        for f in parse_segment_frames(&bytes).0 {
+            source.push((seq, f.offset, f.kind, f.payload.to_vec()));
+        }
+    }
+    let envelope = |seg: &mut Vec<u8>, (seq, off, kind, payload): &(u64, u64, u8, Vec<u8>)| {
+        encode_frame_into(
+            seg,
+            FRAME_SHIPPED2,
+            &shipped2_payload(*seq, *off, 1, 2, *kind, payload),
+        );
+    };
+
+    // A crashed collector's session: frames 0..20 sealed, frames 20..40
+    // in an open leftover whose last frame is torn, and a stray open twin
+    // of the sealed segment whose envelope claims a far-ahead cursor.
+    let session = out.join("reopen-node9");
+    std::fs::create_dir_all(&session).unwrap();
+    let mut sealed = segment_header_bytes(0).to_vec();
+    source[..20].iter().for_each(|f| envelope(&mut sealed, f));
+    std::fs::write(session.join("seg-000000.seg"), &sealed).unwrap();
+    let mut leftover = segment_header_bytes(1).to_vec();
+    source[20..40]
+        .iter()
+        .for_each(|f| envelope(&mut leftover, f));
+    leftover.truncate(leftover.len() - 5);
+    std::fs::write(session.join("seg-000001.open"), &leftover).unwrap();
+    let mut stray = segment_header_bytes(0).to_vec();
+    envelope(&mut stray, &(99, 0, FRAME_EVENTS, source[21].3.clone()));
+    std::fs::write(session.join("seg-000000.open"), &stray).unwrap();
+
+    let (handle, server) = start_collector(&out);
+
+    // WELCOME: just past frame 38, the last intact one.
+    let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+    std::io::Write::write_all(&mut stream, SHIP_MAGIC).unwrap();
+    let hello = Hello {
+        version: SHIP_VERSION,
+        node_id: 9,
+        session: "reopen".into(),
+        hostname: node(9).hostname,
+    };
+    write_msg(&mut stream, MSG_HELLO, &encode_hello(&hello)).unwrap();
+    let (kind, payload) = read_msg(&mut stream, MAX_WIRE_LEN).unwrap();
+    assert_eq!(kind, MSG_WELCOME);
+    let (seq, off, _, last) = &source[38];
+    let want = Cursor {
+        seg: *seq,
+        off: off + (FRAME_HEADER_LEN + last.len()) as u64,
+    };
+    assert_eq!(Cursor::decode(&payload), Some(want));
+    // Before WELCOME the stray twin was removed and the torn leftover
+    // sealed as it stood.
+    assert!(!session.join("seg-000000.open").exists());
+    assert!(!session.join("seg-000001.open").exists());
+    assert_eq!(
+        std::fs::read(session.join("seg-000001.seg")).unwrap(),
+        leftover
+    );
+    // Hang up, and wait for the collector to drop the empty segment it
+    // opened for this connection, so the shipper finds the session free.
+    drop(stream);
+    let give_up = std::time::Instant::now() + Duration::from_secs(30);
+    while session.join("seg-000002.open").exists() {
+        assert!(
+            std::time::Instant::now() < give_up,
+            "connection never closed"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let report = ship_to(&src, handle.addr(), "reopen");
+    handle.shutdown();
+    server.join().unwrap().unwrap();
+    assert!(report.complete, "{report:?}");
+    assert_eq!(report.frames_sent, report.frames_acked);
+    assert_eq!(
+        report.frames_sent,
+        source.len() as u64 - 39,
+        "only the rest"
+    );
+
+    // The manifest lists exactly the sealed segments on disk.
+    let manifest = std::fs::read_to_string(session.join(spool::MANIFEST_NAME)).unwrap();
+    let listed: Vec<&str> = manifest.lines().filter(|l| l.starts_with("seg-")).collect();
+    let mut on_disk: Vec<String> = std::fs::read_dir(&session)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|n| n.starts_with("seg-"))
+        .collect();
+    on_disk.sort();
+    assert_eq!(
+        listed,
+        ["seg-000000.seg", "seg-000001.seg", "seg-000002.seg"]
+    );
+    assert_eq!(listed, on_disk);
+
+    let (src_trace, _) = analysis_of(&src);
+    let (dst_trace, _) = analysis_of(&session);
+    assert_eq!(src_trace, dst_trace);
+
+    std::fs::remove_dir_all(&src).ok();
+    std::fs::remove_dir_all(&out).ok();
+}
